@@ -27,11 +27,11 @@ use crate::derived::Derived;
 /// Header line of the serialized certificate; bump on breaking changes.
 pub const CERT_FORMAT: &str = "canvas-cert/1";
 
-/// 64-bit FNV-1a, the digest used throughout the certificate format.
+/// 64-bit FNV-1a, the digest used throughout the certificate format and,
+/// through `canvas-incr`, for every store fingerprint and corpus digest.
 ///
-/// Independent of (but identical in output to) the fingerprint hasher in
-/// `canvas-incr`: the checker must not depend on engine-side crates, so the
-/// forty lines are duplicated rather than shared.
+/// It lives here because the checker's trusted base already includes this
+/// crate: sharing it costs the checker no dependency.
 #[derive(Clone, Debug)]
 pub struct Digest(u64);
 
@@ -40,11 +40,13 @@ impl Digest {
     const PRIME: u64 = 0x100_0000_01b3;
 
     /// A fresh hasher.
+    #[inline]
     pub fn new() -> Digest {
         Digest(Self::OFFSET)
     }
 
     /// Absorbs raw bytes.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -53,22 +55,44 @@ impl Digest {
     }
 
     /// Absorbs a length-prefixed string (prefix-collision safe).
+    #[inline]
     pub fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         self.write(s.as_bytes());
     }
 
-    /// Absorbs a `u64`.
+    /// Absorbs a `u64` (little-endian).
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    /// Absorbs a `usize`.
+    /// Absorbs a `u32`, widened to a `u64`.
+    #[inline]
+    pub fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    /// Absorbs a `usize`, widened to a `u64`.
+    #[inline]
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
+    /// Absorbs a single tag byte (instruction/format discriminants).
+    #[inline]
+    pub fn write_u8(&mut self, v: u8) {
+        self.write(&[v]);
+    }
+
+    /// Absorbs a boolean as one byte.
+    #[inline]
+    pub fn write_bool(&mut self, b: bool) {
+        self.write_u8(u8::from(b));
+    }
+
     /// The digest value.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
     }
@@ -497,6 +521,13 @@ impl Certificate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn digest_matches_the_fnv1a_64_known_answers() {
+        assert_eq!(digest_str(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest_str("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest_str("foobar"), 0x8594_4171_f739_67e8);
+    }
 
     fn sample() -> Certificate {
         Certificate {

@@ -5,8 +5,6 @@
 //! records the measured outcomes against the paper's claims.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use canvas_core::{Certifier, CertifyError, Engine, PreparedProgram};
@@ -154,16 +152,6 @@ fn poisoned_cell(b: &Benchmark, engine: Engine, message: String) -> PrecisionCel
     PrecisionCell { poisoned: true, ..failed_cell(b, engine, format!("panicked: {message}")) }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The full precision table (E4): all benchmarks × all engines.
 ///
 /// Cells run concurrently on scoped worker threads. Each benchmark is parsed
@@ -205,56 +193,60 @@ pub fn precision_table() -> Vec<PrecisionCell> {
 
     let jobs: Vec<(usize, Engine)> =
         (0..benchmarks.len()).flat_map(|bi| engines.iter().map(move |&e| (bi, e))).collect();
-    let slots: Vec<Mutex<Option<PrecisionCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    // one scope per cell, created up front so a poisoned cell keeps
+    // whatever it counted before the panic
+    let scopes: Vec<canvas_telemetry::Scope> = jobs
+        .iter()
+        .map(|&(bi, engine)| {
+            canvas_telemetry::Scope::new(format!("{}::{}", benchmarks[bi].name, engine.abbrev()))
+        })
+        .collect();
     let workers = canvas_suite::worker_count(jobs.len());
     SUITE_JOBS.add(jobs.len() as u64);
     SUITE_WORKERS.add(workers as u64);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let spawned = Instant::now();
-                let mut busy = Duration::ZERO;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(bi, engine)) = jobs.get(i) else { break };
-                    let _job = SUITE_JOB_TIME.span();
-                    let started = Instant::now();
-                    let b = &benchmarks[bi];
-                    let certifier = &certifiers[cert_idx[bi]].1;
-                    // isolate the case: a panicking engine poisons this one
-                    // cell, the worker survives, and every other cell is
-                    // still computed and re-aggregated deterministically.
-                    // The scope wraps the catch_unwind so a poisoned cell
-                    // still rolls up whatever it counted before the panic.
-                    let scope =
-                        canvas_telemetry::Scope::new(format!("{}::{}", b.name, engine.abbrev()));
-                    let mut cell = match &parsed[bi] {
-                        Ok((program, prepared)) => {
-                            let _in_scope = scope.enter();
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_cell_prepared(certifier, b, program, prepared, engine)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                poisoned_cell(b, engine, panic_message(payload.as_ref()))
-                            })
-                        }
-                        Err(why) => failed_cell(b, engine, why.clone()),
-                    };
-                    if canvas_telemetry::enabled() {
-                        cell.scope = Some(scope.snapshot());
-                    }
-                    *slots[i].lock().expect("no panics while holding the slot lock") = Some(cell);
-                    busy += started.elapsed();
+    let started = Instant::now();
+    // a panicking engine poisons its own cell; every other cell is still
+    // computed and re-aggregated in the same deterministic order
+    let batch = canvas_suite::run_batch(
+        jobs.len(),
+        workers,
+        |_| (),
+        |(), i| {
+            let _job = SUITE_JOB_TIME.span();
+            let (bi, engine) = jobs[i];
+            let b = &benchmarks[bi];
+            match &parsed[bi] {
+                Ok((program, prepared)) => {
+                    let _in_scope = scopes[i].enter();
+                    run_cell_prepared(&certifiers[cert_idx[bi]].1, b, program, prepared, engine)
                 }
-                SUITE_WORKER_BUSY.observe(busy);
-                SUITE_WORKER_IDLE.observe(spawned.elapsed().saturating_sub(busy));
-            });
-        }
-    });
-    slots
+                Err(why) => failed_cell(b, engine, why.clone()),
+            }
+        },
+    );
+    let wall = started.elapsed();
+    let mut busy = vec![Duration::ZERO; batch.workers.len()];
+    for done in batch.items.iter().flatten() {
+        busy[done.worker] += done.elapsed;
+    }
+    for busy in busy {
+        SUITE_WORKER_BUSY.observe(busy);
+        SUITE_WORKER_IDLE.observe(wall.saturating_sub(busy));
+    }
+    batch
+        .items
         .into_iter()
-        .map(|m| m.into_inner().expect("worker did not panic").expect("every cell computed"))
+        .zip(&jobs)
+        .zip(&scopes)
+        .map(|((done, &(bi, engine)), scope)| {
+            let mut cell = done
+                .map_or(Err("worker died".to_string()), |d| d.result)
+                .unwrap_or_else(|message| poisoned_cell(&benchmarks[bi], engine, message));
+            if canvas_telemetry::enabled() {
+                cell.scope = Some(scope.snapshot());
+            }
+            cell
+        })
         .collect()
 }
 

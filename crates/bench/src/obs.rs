@@ -153,10 +153,15 @@ fn lcg(state: &mut u64) -> u64 {
     *state
 }
 
-fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
-    let n = sorted.len() as u64;
-    let target = ((q * n as f64).ceil() as u64).clamp(1, n);
-    sorted[(target - 1) as usize]
+/// The exact `q`-quantile of ascending `sorted`: the sample of 1-based
+/// rank `ceil(q·n)` (clamped to `[1, n]`), or the default when empty.
+pub(crate) fn exact_percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    let n = sorted.len();
+    if n == 0 {
+        return T::default();
+    }
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+    sorted[rank - 1]
 }
 
 /// Runs the quantile-fidelity harness: `n` samples of each synthetic

@@ -24,6 +24,8 @@ use canvas_incr::json::{obj, Json};
 use canvas_incr::net::serve_listener;
 use canvas_incr::service::ServeConfig;
 
+use crate::obs::exact_percentile;
+
 /// Worker pool size of the daemon under test.
 pub const WORKERS: usize = 2;
 /// Bounded queue capacity of the daemon under test.
@@ -101,14 +103,6 @@ fn mix_line(load: u64, k: usize) -> String {
         variant_source(load, variant_slot(k)),
         tenants[k % 4]
     )
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn scrape_cache(
@@ -216,8 +210,8 @@ pub fn collect_overload() -> Result<OverloadReport, String> {
                 offered: n as u64,
                 admitted: latencies.len() as u64,
                 shed,
-                p50: percentile(&latencies, 0.50),
-                p99: percentile(&latencies, 0.99),
+                p50: exact_percentile(&latencies, 0.50),
+                p99: exact_percentile(&latencies, 0.99),
                 wall,
                 cache_bytes,
                 cache_hits,

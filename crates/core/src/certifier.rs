@@ -593,8 +593,9 @@ impl Certifier {
     }
 }
 
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a human-readable message from a panic payload (the `&str` or
+/// `String` a `panic!` carries; anything else gets a fixed placeholder).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

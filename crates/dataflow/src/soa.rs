@@ -249,6 +249,8 @@ impl SmallIdVec {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+// Not the shared `Digest`: this hashes 16-bit lanes for an in-memory
+// interning map on the relational hot loop and is never persisted.
 fn fnv_words(row: &[u64]) -> u64 {
     let mut h = FNV_OFFSET;
     for &w in row {

@@ -23,11 +23,8 @@
 //! the corpus is byte-identical across runs *and* across generator thread
 //! counts — the manifest digest is reproducible anywhere.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use canvas_core::CanvasError;
-use canvas_incr::fingerprint::Hasher64;
+use canvas_incr::fingerprint::Digest;
 use canvas_minijava::synth::{check_synthesized, SourceBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,38 +84,28 @@ pub fn generate_with_threads(
     params: &GenParams,
     threads: usize,
 ) -> Result<Vec<GeneratedProgram>, CanvasError> {
-    let n = params.programs;
     let spec = canvas_easl::builtin::cmp();
-    let slots: Vec<Mutex<Option<Result<GeneratedProgram, CanvasError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.clamp(1, n.max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let one = generate_one(params, i, &spec);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(one);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(Ok(p)) => out.push(p),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(CanvasError::new(
+    let batch = canvas_suite::run_batch(
+        params.programs,
+        threads,
+        |_| (),
+        |(), i| generate_one(params, i, &spec),
+    );
+    batch
+        .items
+        .into_iter()
+        .enumerate()
+        .map(|(i, done)| {
+            let program = done.map_or(Err("worker died".to_string()), |d| d.result);
+            program.map_err(|why| {
+                CanvasError::new(
                     canvas_core::Stage::ClientFrontend,
                     canvas_core::ErrorKind::EnginePanic,
-                    format!("generator worker died before producing program {i}"),
-                ))
-            }
-        }
-    }
-    Ok(out)
+                    format!("generator panicked on program {i}: {why}"),
+                )
+            })?
+        })
+        .collect()
 }
 
 /// Generates program `index` of the corpus — a pure function of
@@ -128,10 +115,10 @@ fn generate_one(
     index: usize,
     spec: &canvas_easl::Spec,
 ) -> Result<GeneratedProgram, CanvasError> {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_u64(params.seed);
     h.write_u64(index as u64);
-    let mut rng = StdRng::seed_from_u64(h.finish().0);
+    let mut rng = StdRng::seed_from_u64(h.finish());
 
     let violating = rng.gen_bool(params.violation_rate);
     let mut b = SourceBuilder::new("P");

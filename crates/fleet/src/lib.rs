@@ -12,7 +12,7 @@
 //! * [`driver`] — a sharded, work-stealing certification driver with
 //!   per-shard failure isolation (a dead worker loses only its in-flight
 //!   program) and per-shard certificate caches merged losslessly at the
-//!   end, optionally fanning out to `canvas serve --listen` backends;
+//!   end;
 //! * [`report`] — the aggregated fleet report: verdicts, ground-truth
 //!   mismatches, cache/merge traffic, per-shard latency histograms, as a
 //!   table and as the stable `canvas-bench-fleet/1` JSON document.
@@ -58,7 +58,7 @@ pub mod report;
 pub use driver::{exit_code, run_fleet, FleetConfig};
 pub use gen::{generate, generate_with_threads, GenParams, GeneratedProgram};
 pub use manifest::{load_corpus, write_corpus, FleetItem, Manifest};
-pub use report::{FleetCacheTraffic, FleetReport, LatencyHist, ShardRow};
+pub use report::{FleetCacheTraffic, FleetReport, ShardRow};
 
 #[cfg(test)]
 mod tests {

@@ -13,69 +13,10 @@ use std::time::Duration;
 
 use canvas_incr::fingerprint::Fingerprint;
 use canvas_incr::json::{obj, Json};
+use canvas_telemetry::Log2Hist;
 
 /// The `canvas fleet` JSON format tag.
 pub const REPORT_FORMAT: &str = "canvas-bench-fleet/1";
-
-/// A small log2-bucketed latency histogram (nanosecond samples).
-///
-/// The telemetry crate's histograms are process-global statics; per-shard
-/// latency needs a value type, so the fleet keeps its own.
-#[derive(Clone, Debug)]
-pub struct LatencyHist {
-    buckets: [u64; 64],
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> LatencyHist {
-        LatencyHist { buckets: [0; 64], count: 0, total_ns: 0, max_ns: 0 }
-    }
-}
-
-impl LatencyHist {
-    /// Records one nanosecond sample.
-    pub fn record(&mut self, ns: u64) {
-        let bucket = (64 - ns.leading_zeros() as usize).min(63);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Upper bound (ns) of the bucket containing quantile `q` in `[0,1]`.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-            }
-        }
-        self.max_ns
-    }
-
-    /// Mean sample (ns).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Largest sample (ns).
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-}
 
 /// Per-shard outcome row.
 #[derive(Clone, Debug, Default)]
@@ -97,8 +38,8 @@ pub struct ShardRow {
     pub misses: u64,
     /// Misses seeded from a stale entry's fixpoint (delta re-solve).
     pub delta_seeded: u64,
-    /// Per-program latency distribution.
-    pub latency: LatencyHist,
+    /// Per-program latency distribution (nanoseconds).
+    pub latency: Log2Hist,
 }
 
 /// Certificate-cache traffic over the whole fleet run.
@@ -127,8 +68,6 @@ pub struct FleetReport {
     pub engine: String,
     /// Spec name (e.g. `cmp`).
     pub spec: String,
-    /// `local` or `serve` (remote backends).
-    pub mode: String,
     /// Shard count.
     pub shards_requested: usize,
     /// Corpus size.
@@ -171,8 +110,8 @@ impl FleetReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "fleet: {} programs, engine {}, spec {}, {} shards ({})\n",
-            self.programs, self.engine, self.spec, self.shards_requested, self.mode
+            "fleet: {} programs, engine {}, spec {}, {} shards\n",
+            self.programs, self.engine, self.spec, self.shards_requested
         ));
         out.push_str(&format!(
             "  verdicts: {} certified, {} violating ({} sites), {} inconclusive\n",
@@ -253,7 +192,6 @@ impl FleetReport {
             (
                 "measured",
                 obj(vec![
-                    ("mode", Json::Str(self.mode.clone())),
                     ("shards", Json::Int(self.shards_requested as u64)),
                     ("wall_ms", Json::Int(self.wall.as_millis() as u64)),
                     ("merge_ms", Json::Int(self.merge_wall.as_millis() as u64)),
@@ -300,31 +238,5 @@ impl FleetReport {
                 ]),
             ),
         ])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn latency_hist_quantiles_are_monotone() {
-        let mut h = LatencyHist::default();
-        for ns in [100u64, 200, 400, 800, 1_600, 3_200, 640_000] {
-            h.record(ns);
-        }
-        assert_eq!(h.count(), 7);
-        let p50 = h.quantile_ns(0.50);
-        let p99 = h.quantile_ns(0.99);
-        assert!(p50 <= p99, "{p50} <= {p99}");
-        assert!(h.max_ns() >= 640_000);
-        assert!(h.mean_ns() > 0);
-    }
-
-    #[test]
-    fn empty_hist_is_all_zero() {
-        let h = LatencyHist::default();
-        assert_eq!(h.quantile_ns(0.99), 0);
-        assert_eq!(h.mean_ns(), 0);
     }
 }

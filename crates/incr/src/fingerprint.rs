@@ -17,9 +17,9 @@
 //! * the engine and the budget/explain configuration.
 //!
 //! The interprocedural engine observes the whole program, so its key uses
-//! the whole-program fingerprint. The hash is a hand-rolled 64-bit FNV-1a
-//! (zero-dep, deterministic across runs and platforms); strings are
-//! length-prefixed so concatenation cannot alias.
+//! the whole-program fingerprint. The hash is the certificate format's
+//! 64-bit FNV-1a [`Digest`] (zero-dep, deterministic across runs and
+//! platforms); strings are length-prefixed so concatenation cannot alias.
 
 use std::fmt;
 
@@ -53,85 +53,18 @@ impl Fingerprint {
     }
 }
 
-/// An incremental 64-bit FNV-1a hasher.
-#[derive(Clone, Debug)]
-pub struct Hasher64 {
-    state: u64,
-}
-
-impl Hasher64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Hasher64 {
-        Hasher64 { state: Self::OFFSET }
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Absorbs a `u64` (little-endian).
-    pub fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
-    }
-
-    /// Absorbs a `u32`.
-    pub fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    /// Absorbs a `usize`.
-    pub fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    /// Absorbs a single tag byte (instruction/format discriminants).
-    pub fn write_u8(&mut self, n: u8) {
-        self.write(&[n]);
-    }
-
-    /// Absorbs a boolean.
-    pub fn write_bool(&mut self, b: bool) {
-        self.write_u8(u8::from(b));
-    }
-
-    /// Absorbs a length-prefixed string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    /// Absorbs a previously computed fingerprint.
-    pub fn write_fp(&mut self, fp: Fingerprint) {
-        self.write_u64(fp.0);
-    }
-
-    /// The accumulated fingerprint.
-    pub fn finish(&self) -> Fingerprint {
-        Fingerprint(self.state)
-    }
-}
-
-impl Default for Hasher64 {
-    fn default() -> Self {
-        Hasher64::new()
-    }
-}
+/// The incremental 64-bit FNV-1a hasher behind every fingerprint: the
+/// certificate digest, shared so the store and the checker hash alike.
+pub use canvas_abstraction::certificate::Digest;
 
 /// Fingerprint of the EASL spec (name + full class/method structure; the
 /// `Debug` form resolves interned symbols to their names, so it is stable
 /// across runs).
 pub fn fingerprint_spec(spec: &Spec) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_str(spec.name());
     h.write_str(&format!("{:?}", spec.classes()));
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Fingerprint of the derived abstraction (families + statement
@@ -139,9 +72,9 @@ pub fn fingerprint_spec(spec: &Spec) -> Fingerprint {
 /// practice, but hashed separately so a derivation-algorithm change
 /// invalidates certificates even under an unchanged spec.
 pub fn fingerprint_derived(derived: &Derived) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_str(&format!("{derived:?}"));
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Fingerprint of the engine + budget configuration of `certifier`. State
@@ -149,7 +82,7 @@ pub fn fingerprint_derived(derived: &Derived) -> Fingerprint {
 /// inconclusive cut-offs), so certificates are keyed on them; the deadline
 /// is reduced to its presence (the instant itself is wall-clock).
 pub fn fingerprint_config(certifier: &Certifier, engine: Engine) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_u32(KEY_VERSION);
     h.write_str(&engine.to_string());
     let (relational, tvla) = certifier.budgets();
@@ -160,7 +93,7 @@ pub fn fingerprint_config(certifier: &Certifier, engine: Engine) -> Fingerprint 
     h.write_u64(budget.max_steps.unwrap_or(u64::MAX));
     h.write_usize(budget.max_states.unwrap_or(usize::MAX));
     h.write_bool(budget.deadline.is_some());
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Canonical per-method operand numbering: variables and allocation sites
@@ -179,7 +112,7 @@ impl<'a> Canon<'a> {
         Canon { program, vars: Vec::new(), sites: Vec::new() }
     }
 
-    fn var(&mut self, h: &mut Hasher64, id: VarId) {
+    fn var(&mut self, h: &mut Digest, id: VarId) {
         let ordinal = match self.vars.iter().position(|&v| v == id) {
             Some(i) => i,
             None => {
@@ -194,7 +127,7 @@ impl<'a> Canon<'a> {
         h.write_bool(v.owner.is_none()); // statics are shared environment
     }
 
-    fn opt_var(&mut self, h: &mut Hasher64, id: Option<VarId>) {
+    fn opt_var(&mut self, h: &mut Digest, id: Option<VarId>) {
         match id {
             Some(id) => {
                 h.write_bool(true);
@@ -204,7 +137,7 @@ impl<'a> Canon<'a> {
         }
     }
 
-    fn site(&mut self, h: &mut Hasher64, site: AllocSite) {
+    fn site(&mut self, h: &mut Digest, site: AllocSite) {
         let ordinal = match self.sites.iter().position(|&s| s == site) {
             Some(i) => i,
             None => {
@@ -216,7 +149,7 @@ impl<'a> Canon<'a> {
     }
 }
 
-fn write_at(h: &mut Hasher64, at: &canvas_minijava::Site) {
+fn write_at(h: &mut Digest, at: &canvas_minijava::Site) {
     // spans are part of the certificate (violation lines come from them):
     // moving a call to another line must miss, even if structure is equal
     h.write_u32(at.span.line);
@@ -226,7 +159,7 @@ fn write_at(h: &mut Hasher64, at: &canvas_minijava::Site) {
 
 /// Fingerprint of one lowered method body via the canonical IR walk.
 pub fn fingerprint_method(program: &Program, method: &MethodIr) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     let mut canon = Canon::new(program);
     h.write_str(&method.qualified_name());
     h.write_bool(method.is_static);
@@ -302,14 +235,14 @@ pub fn fingerprint_method(program: &Program, method: &MethodIr) -> Fingerprint {
             Instr::Nop => h.write_u8(7),
         }
     }
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// The callable *signature* of a method — what a caller's intraprocedural
 /// analysis can observe about it (a client call is havoced from the
 /// signature; the body is not consulted).
 pub fn fingerprint_signature(program: &Program, method: &MethodIr) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_str(&method.qualified_name());
     h.write_bool(method.is_static);
     h.write_usize(method.params.len());
@@ -325,7 +258,7 @@ pub fn fingerprint_signature(program: &Program, method: &MethodIr) -> Fingerprin
         }
         None => h.write_bool(false),
     }
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// The shared program *environment* every method's analysis can observe
@@ -333,7 +266,7 @@ pub fn fingerprint_signature(program: &Program, method: &MethodIr) -> Fingerprin
 /// the S-CMP shape flag. Method bodies are deliberately excluded (they are
 /// covered per-method).
 pub fn fingerprint_environment(program: &Program) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_bool(program.is_scmp_shaped());
     for ty in program.component_types() {
         h.write_str(&ty.to_string());
@@ -355,7 +288,7 @@ pub fn fingerprint_environment(program: &Program) -> Fingerprint {
             h.write_str(&f.ty.to_string());
         }
     }
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// All fingerprints of one parsed program: per-method body hashes, the
@@ -383,22 +316,22 @@ impl ProgramFingerprints {
             .methods()
             .iter()
             .map(|m| {
-                let mut h = Hasher64::new();
-                h.write_fp(environment);
+                let mut h = Digest::new();
+                h.write_u64(environment.0);
                 if let Some(callees) = call_graph.get(&m.id) {
                     for c in callees {
-                        h.write_fp(signatures[c.0]);
+                        h.write_u64(signatures[c.0].0);
                     }
                 }
-                h.finish()
+                Fingerprint(h.finish())
             })
             .collect();
-        let mut h = Hasher64::new();
-        h.write_fp(environment);
+        let mut h = Digest::new();
+        h.write_u64(environment.0);
         for &m in &methods {
-            h.write_fp(m);
+            h.write_u64(m.0);
         }
-        let program_fp = h.finish();
+        let program_fp = Fingerprint(h.finish());
         ProgramFingerprints { methods, deps, environment, program: program_fp }
     }
 
@@ -430,9 +363,9 @@ impl ProgramFingerprints {
 /// frontend, not the parsed IR, so a manifest can be checked without
 /// parsing anything.
 pub fn fingerprint_source(source: &str) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_str(source);
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Fingerprint of a corpus manifest: the ordered sequence of
@@ -442,15 +375,15 @@ pub fn fingerprint_source(source: &str) -> Fingerprint {
 pub fn fingerprint_manifest<'a>(
     entries: impl IntoIterator<Item = (&'a str, Fingerprint)>,
 ) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     let mut n: u64 = 0;
     for (name, fp) in entries {
         h.write_str(name);
-        h.write_fp(fp);
+        h.write_u64(fp.0);
         n += 1;
     }
     h.write_u64(n);
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// The cache key of one `(method, entry, engine)` cell: the method body,
@@ -464,14 +397,14 @@ pub fn cell_key(
     config: Fingerprint,
     entry_unknown: bool,
 ) -> Fingerprint {
-    let mut h = Hasher64::new();
-    h.write_fp(method);
-    h.write_fp(deps);
-    h.write_fp(spec);
-    h.write_fp(derived);
-    h.write_fp(config);
+    let mut h = Digest::new();
+    h.write_u64(method.0);
+    h.write_u64(deps.0);
+    h.write_u64(spec.0);
+    h.write_u64(derived.0);
+    h.write_u64(config.0);
     h.write_bool(entry_unknown);
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub mod service;
 pub mod store;
 
 use fingerprint::{
-    cell_key, fingerprint_config, fingerprint_derived, fingerprint_spec, Fingerprint, Hasher64,
+    cell_key, fingerprint_config, fingerprint_derived, fingerprint_spec, Digest, Fingerprint,
     ProgramFingerprints,
 };
 use store::{CachedReport, CertCache};
@@ -423,7 +423,7 @@ impl IncrementalCertifier {
 /// violations as a cold solve with strictly less work, and that saving
 /// must not read as a semantic divergence.
 pub fn report_digest(report: &Report) -> Fingerprint {
-    let mut h = Hasher64::new();
+    let mut h = Digest::new();
     h.write_str(&report.engine.to_string());
     h.write_str(&format!("{:?}", report.verdict));
     h.write_usize(report.stats.predicates);
@@ -453,7 +453,7 @@ pub fn report_digest(report: &Report) -> Fingerprint {
             }
         }
     }
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 #[cfg(test)]

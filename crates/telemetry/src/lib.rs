@@ -197,58 +197,29 @@ impl Histogram {
     }
 
     fn record_registered(&self, v: u64) {
-        let bucket = (u64::BITS - v.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Summarises the histogram's current contents (count/sum/max exact,
-    /// quantiles estimated by rank interpolation within the log₂ bucket
-    /// where the cumulative count crosses the quantile — exact to within
-    /// one bucket width, i.e. a factor of 2).
+    /// quantiles as [`Log2Hist::quantile_ns`] estimates them).
     pub fn stat(&self) -> HistogramStat {
-        let count = self.count.load(Ordering::Relaxed);
-        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            // 1-based rank of the requested order statistic.
-            let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut seen = 0u64;
-            for (k, &n) in buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                let before = seen;
-                seen += n;
-                if seen >= target {
-                    // Bucket 0 holds exactly {0}; bucket k ≥ 1 covers
-                    // [2^(k-1), 2^k - 1]. Interpolate linearly by rank.
-                    let lo = if k == 0 { 0 } else { 1u64 << (k - 1) };
-                    let hi = if k == 0 {
-                        0
-                    } else if k >= 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << k) - 1
-                    };
-                    let frac = (target - before) as f64 / n as f64;
-                    return lo + ((hi - lo) as f64 * frac) as u64;
-                }
-            }
-            u64::MAX
+        let hist = Log2Hist {
+            buckets: std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
         };
         HistogramStat {
             name: self.name.to_string(),
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            p50: quantile(0.50),
-            p90: quantile(0.90),
-            p99: quantile(0.99),
+            count: hist.count,
+            sum: hist.sum,
+            max: hist.max,
+            p50: hist.quantile_ns(0.50),
+            p90: hist.quantile_ns(0.90),
+            p99: hist.quantile_ns(0.99),
         }
     }
 
@@ -259,6 +230,89 @@ impl Histogram {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
+    }
+}
+
+/// The log₂ bucket of sample `v`: `⌈log₂(v+1)⌉`, so bucket 0 holds exactly
+/// {0} and bucket k ≥ 1 covers [2^(k-1), 2^k - 1].
+fn bucket(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()) as usize
+}
+
+/// The plain-value form of a [`Histogram`]: log₂ buckets with exact
+/// count/sum/max, for callers that keep their own per-shard or per-run
+/// distributions instead of a registered static. Samples are unit-free;
+/// the `_ns` accessors are named for the common case of nanosecond
+/// latencies.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Log2Hist {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for Log2Hist {
+    fn default() -> Log2Hist {
+        Log2Hist { buckets: [0; BUCKETS], count: 0, sum: 0, max: 0 }
+    }
+}
+
+impl Log2Hist {
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Mean sample (0 when empty).
+    pub fn mean_ns(&self) -> u64 {
+        self.sum.checked_div(self.count).unwrap_or(0)
+    }
+
+    /// Largest sample.
+    pub fn max_ns(&self) -> u64 {
+        self.max
+    }
+
+    /// Estimates quantile `q` in `[0, 1]` (0 when empty): finds the log₂
+    /// bucket where the cumulative count crosses the quantile's rank and
+    /// interpolates linearly by rank within it — exact to within one
+    /// bucket width, i.e. a factor of 2.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        // 1-based rank of the requested order statistic.
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (k, &n) in self.buckets.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let before = seen;
+            seen += n;
+            if seen >= target {
+                let lo = if k == 0 { 0 } else { 1u64 << (k - 1) };
+                let hi = if k == 0 {
+                    0
+                } else if k >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << k) - 1
+                };
+                let frac = (target - before) as f64 / n as f64;
+                return lo + ((hi - lo) as f64 * frac) as u64;
+            }
+        }
+        u64::MAX
     }
 }
 
@@ -615,6 +669,29 @@ mod tests {
         assert!(h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.max.next_power_of_two());
         set_enabled(false);
         reset();
+    }
+
+    #[test]
+    fn log2_hist_quantiles_are_monotone() {
+        let mut h = Log2Hist::default();
+        for ns in [100u64, 200, 400, 800, 1_600, 3_200, 640_000] {
+            h.record(ns);
+        }
+        assert_eq!(h.count(), 7);
+        let p50 = h.quantile_ns(0.50);
+        let p99 = h.quantile_ns(0.99);
+        assert!(p50 <= p99, "{p50} <= {p99}");
+        assert!(p99 <= h.max_ns().next_power_of_two(), "{p99}");
+        assert_eq!(h.max_ns(), 640_000);
+        assert_eq!(h.mean_ns(), 646_300 / 7);
+    }
+
+    #[test]
+    fn empty_log2_hist_is_all_zero() {
+        let h = Log2Hist::default();
+        assert_eq!(h.quantile_ns(0.99), 0);
+        assert_eq!(h.mean_ns(), 0);
+        assert_eq!(h.max_ns(), 0);
     }
 
     #[test]

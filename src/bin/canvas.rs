@@ -10,7 +10,6 @@
 //! canvas serve   [--threads N] [--cache-dir DIR | --no-cache] [--log-json PATH]
 //! canvas fleet gen --out DIR [--programs N] [--seed N] [--violation-rate R] [--force]
 //! canvas fleet run --corpus DIR [--shards N] [--cache-dir DIR] [--report PATH]
-//!                [--backend HOST:PORT]...
 //! canvas engines
 //! canvas specs
 //! ```
@@ -50,8 +49,7 @@
 //! synthetic corpus (with a `canvas-fleet-manifest/1` manifest recording
 //! per-file fingerprints and ground truth); it refuses an existing output
 //! directory without `--force`. `canvas fleet run` certifies a corpus
-//! across sharded, work-stealing workers — in-process by default, or
-//! against `canvas serve --listen` backends with `--backend` — merging the
+//! across sharded, work-stealing in-process workers, merging the
 //! per-shard certificate caches losslessly into `--cache-dir` at the end,
 //! and prints the aggregated fleet report (`--report` also writes it as
 //! `canvas-bench-fleet/1` JSON).
@@ -445,7 +443,7 @@ fn run(args: &[String]) -> Result<ExitCode, CanvasError> {
                  canvas fleet gen --out DIR [--programs N] [--seed N] [--max-methods N] \
                  [--max-loop-depth N] [--violation-rate R] [--threads N] [--force]\n  \
                  canvas fleet run --corpus DIR [--shards N] [--engine <name>] [--spec <name>] \
-                 [--cache-dir DIR] [--report PATH] [--backend HOST:PORT]...\n  \
+                 [--cache-dir DIR] [--report PATH]\n  \
                  canvas engines\n  \
                  canvas specs"
             );
@@ -455,8 +453,8 @@ fn run(args: &[String]) -> Result<ExitCode, CanvasError> {
 }
 
 /// The `canvas fleet` verb: `gen` materializes a seeded synthetic corpus,
-/// `run` certifies a corpus across sharded workers (local process pool or
-/// `canvas serve --listen` backends) with merged certificate caches.
+/// `run` certifies a corpus across sharded in-process workers with merged
+/// certificate caches.
 fn fleet(args: &[String]) -> Result<ExitCode, CanvasError> {
     use canvas_fleet::{driver, gen, manifest};
     let mut it = args.iter();
@@ -533,7 +531,6 @@ fn fleet(args: &[String]) -> Result<ExitCode, CanvasError> {
             let mut spec_name: Option<String> = None;
             let mut cache_dir: Option<String> = None;
             let mut report_path: Option<String> = None;
-            let mut backends: Vec<String> = Vec::new();
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--corpus" => corpus = Some(need("--corpus", it.next())?),
@@ -551,7 +548,6 @@ fn fleet(args: &[String]) -> Result<ExitCode, CanvasError> {
                     "--spec" => spec_name = Some(need("--spec", it.next())?),
                     "--cache-dir" => cache_dir = Some(need("--cache-dir", it.next())?),
                     "--report" => report_path = Some(need("--report", it.next())?),
-                    "--backend" => backends.push(need("--backend", it.next())?),
                     other => {
                         return Err(CanvasError::usage(format!(
                             "unknown fleet run option {other:?}"
@@ -570,7 +566,6 @@ fn fleet(args: &[String]) -> Result<ExitCode, CanvasError> {
                 spec,
                 spec_name,
                 cache_dir: cache_dir.map(std::path::PathBuf::from),
-                backends,
                 manifest_digest: Some(m.digest),
             };
             let report = driver::run_fleet(&items, &cfg)?;
