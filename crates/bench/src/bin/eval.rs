@@ -1,17 +1,13 @@
-//! Regenerates the paper's evaluation tables and figures (DESIGN.md E1–E11).
+//! Regenerates the paper's evaluation tables and figures (DESIGN.md E1–E15).
 //!
 //! ```text
 //! eval [TABLE] [--explain] [--trace-out PATH] [--log-json PATH] [--metrics]
-//!      [--metrics-json [PATH]] [--check-baseline PATH]
-//!      [--max-steps N] [--deadline-ms N]
+//!      [--json PATH] [--check-baseline PATH] [--max-steps N] [--deadline-ms N]
+//! eval fixpoint|fleet|obs|overload [--json PATH] [--check-baseline PATH]
 //! eval compare A.json B.json
 //! eval trace-check PATH
-//! eval oracle
-//! eval fixpoint [--json PATH] [--check-baseline PATH]
-//! eval fleet [--json PATH] [--check-baseline PATH]
-//! eval obs [--json PATH] [--gate]
-//! eval overload [--json PATH] [--gate]
 //! eval log-check FILE
+//! eval oracle
 //! ```
 //!
 //! `TABLE` is one of `derive|fig3|fig3-metrics|fig6|fig7|fig8|
@@ -24,13 +20,17 @@
 //! emitted (full fixpoint) and re-checked (one `canvas-check` replay pass),
 //! reporting both times and the certificate size.
 //!
-//! `--metrics` prints a telemetry summary after the run. `--metrics-json`
-//! runs the full evaluation with telemetry on and writes the stable
-//! `canvas-bench-eval/2` document (default path `BENCH_eval.json`);
-//! `--check-baseline` compares the run's deterministic section against a
-//! committed baseline and exits 1 on drift. `compare` diffs the
-//! deterministic sections of two emitted documents (the CI determinism
-//! check runs the evaluation twice and compares).
+//! The experiments write one record shape, `canvas-bench/1` (see
+//! `canvas_bench::record`): `eval` itself (E1/E4/E5/E10 with telemetry on),
+//! `fixpoint` (E12), `fleet` (E15), `obs` (E13) and `overload` (E14).
+//! `--json PATH` writes the run's record; `--check-baseline PATH` gates it
+//! against a committed baseline — the record's deterministic section
+//! against the baseline's key for the experiment, plus the record's
+//! bounded checks — and exits 1 on a failure. `compare` diffs the
+//! deterministic sections of two records of the same experiment (the CI
+//! determinism check runs the evaluation twice and compares); it exits 2
+//! when their schema or experiment differs. `--metrics` prints a telemetry
+//! summary after the run.
 //!
 //! `--explain` switches the `fig3` table to the witness-trace rendering
 //! (rustc-style labeled diagnostics). `--trace-out` collects structured
@@ -39,9 +39,6 @@
 //! against the bench-smoke artifact. `--log-json` streams the structured
 //! `canvas-log/1` event log to a file at `info` level; `log-check`
 //! validates such a file (schema fields, `(ts_ns, seq)` emit order).
-//! `obs` is E13: telemetry overhead (disabled/enabled/scoped) and
-//! log₂-histogram quantile fidelity, with `--gate` enforcing the overhead
-//! ceilings and the factor-2 quantile bound.
 //!
 //! `--max-steps` / `--deadline-ms` install a process-wide resource budget:
 //! every certifier the evaluation constructs inherits it, and engines whose
@@ -54,57 +51,57 @@ use std::collections::BTreeMap;
 use std::env;
 use std::process::ExitCode;
 
+use canvas_bench::record::Record;
 use canvas_bench::{
-    collect_eval_metrics, derivation_table, deterministic_drift, fmt_duration, json::Json,
-    metrics_to_json, precision_table, render_derive, render_fig3, scaling_blocks, scaling_vars,
-    PrecisionCell, FIG3,
+    collect_eval_metrics, derivation_table, fmt_duration, json::Json, precision_table,
+    render_derive, render_fig3, scaling_blocks, scaling_vars, PrecisionCell, FIG3,
 };
 use canvas_core::{Certifier, Engine};
 
-const TABLES: &[&str] = &[
-    "derive",
-    "fig3",
-    "fig3-metrics",
-    "fig6",
-    "fig7",
-    "fig8",
-    "generic-vs-specialized",
-    "precision",
-    "timing",
-    "modes",
-    "scaling",
-    "specs",
-    "interproc",
-    "incr",
-    "certs",
-    "all",
+/// Every table, in `all` order.
+const TABLES: &[(&str, fn())] = &[
+    ("derive", table_derive),
+    ("fig3", table_fig3),
+    ("fig3-metrics", table_fig3_metrics),
+    ("fig6", figure_fig6),
+    ("fig7", figure_fig7),
+    ("fig8", figure_fig8),
+    ("generic-vs-specialized", table_generic_vs_specialized),
+    ("precision", table_precision),
+    ("timing", table_timing),
+    ("modes", table_modes),
+    ("scaling", figure_scaling),
+    ("specs", table_specs),
+    ("interproc", table_interproc),
+    ("incr", table_incr),
+    ("certs", table_certs),
 ];
+
+/// An experiment verb: runs, prints its table, and [`finish`]es its record.
+type Experiment = fn(&RecordArgs) -> ExitCode;
+
+const EXPERIMENTS: &[(&str, Experiment)] =
+    &[("fixpoint", fixpoint), ("fleet", fleet), ("obs", obs), ("overload", overload)];
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        return compare(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace-check") {
-        return trace_check(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("oracle") {
-        return oracle_check();
-    }
-    if args.first().map(String::as_str) == Some("fixpoint") {
-        return fixpoint(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        return fleet(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("obs") {
-        return obs(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("overload") {
-        return overload(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("log-check") {
-        return log_check(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("compare") => return compare(&args[1..]),
+        Some("trace-check") => return trace_check(&args[1..]),
+        Some("log-check") => return log_check(&args[1..]),
+        Some("oracle") => return oracle_check(),
+        Some(verb) => {
+            if let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == verb) {
+                return match RecordArgs::parse(verb, &args[1..]) {
+                    Ok(record_args) => run(&record_args),
+                    Err(e) => {
+                        eprintln!("{e}");
+                        ExitCode::from(2)
+                    }
+                };
+            }
+        }
+        None => {}
     }
 
     let mut table: Option<String> = None;
@@ -112,10 +109,20 @@ fn main() -> ExitCode {
     let mut metrics = false;
     let mut explain = false;
     let mut trace_out: Option<String> = None;
-    let mut metrics_json: Option<String> = None;
-    let mut baseline: Option<String> = None;
+    let mut record_args = RecordArgs::default();
     let mut i = 0;
     while i < args.len() {
+        match record_args.take(&args, &mut i) {
+            Ok(true) => {
+                i += 1;
+                continue;
+            }
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(2);
+            }
+        }
         match args[i].as_str() {
             "--metrics" => metrics = true,
             "--explain" => explain = true,
@@ -149,27 +156,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--metrics-json" => {
-                // optional PATH operand (anything that is not a flag/table)
-                let path = match args.get(i + 1) {
-                    Some(p) if !p.starts_with("--") && !TABLES.contains(&p.as_str()) => {
-                        i += 1;
-                        p.clone()
-                    }
-                    _ => "BENCH_eval.json".to_string(),
-                };
-                metrics_json = Some(path);
-            }
-            "--check-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = Some(p.clone()),
-                    None => {
-                        eprintln!("--check-baseline needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--max-steps" | "--deadline-ms" => {
                 let flag = args[i].clone();
                 i += 1;
@@ -189,7 +175,9 @@ fn main() -> ExitCode {
                 eprintln!("unknown option {other:?}");
                 return ExitCode::from(2);
             }
-            other if TABLES.contains(&other) => table = Some(other.to_string()),
+            other if other == "all" || TABLES.iter().any(|(name, _)| *name == other) => {
+                table = Some(other.to_string())
+            }
             other => {
                 eprintln!("unknown table {other:?}");
                 return ExitCode::from(2);
@@ -202,46 +190,15 @@ fn main() -> ExitCode {
         canvas_faults::set_process_budget(budget);
     }
 
-    if metrics_json.is_some() || baseline.is_some() {
+    if record_args.json.is_some() || record_args.baseline.is_some() {
         let m = collect_eval_metrics();
-        let doc = metrics_to_json(&m);
-        if let Some(path) = &metrics_json {
-            if let Err(e) = std::fs::write(path, doc.render()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("wrote {path}");
-        }
         if metrics {
             print!("{}", m.snapshot);
         }
         if let Some(t) = &table {
             run_table(t, explain);
         }
-        if let Some(path) = &baseline {
-            let base =
-                match std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|text| {
-                    Json::parse(&text).map_err(|e| format!("not a JSON document: {e}"))
-                }) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("cannot read baseline {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-            let drift = deterministic_drift(&doc, &base);
-            if drift.is_empty() {
-                println!("baseline check: deterministic counters match {path}");
-            } else {
-                eprintln!("baseline drift against {path}:");
-                for d in &drift {
-                    eprintln!("  {d}");
-                }
-                eprintln!("({} difference(s); timings are never gated)", drift.len());
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
+        return finish(&canvas_bench::record(&m), &record_args);
     }
 
     if metrics {
@@ -263,246 +220,121 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `eval fixpoint [--json PATH] [--check-baseline PATH]`: E12 — the
-/// bit-parallel FDS kernel vs the per-bit reference on a scaling sweep,
-/// plus the within-method delta re-solve on the E10 edit workload.
-/// `--json` writes the `canvas-bench-eval/2` document (CI uploads it as
-/// `BENCH_fixpoint.json`); `--check-baseline` gates the deterministic
-/// work-unit counters against the `"fixpoint"` key of the committed
-/// baseline and exits 1 on drift (wall times are reported, never gated).
-fn fixpoint(args: &[String]) -> ExitCode {
-    use canvas_bench::fixpoint::{
-        collect_fixpoint_metrics, fixpoint_drift, fixpoint_to_json, render_fixpoint,
-    };
-    let mut json_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--json needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
+/// `--json PATH` (write the run's record) and `--check-baseline PATH`
+/// (gate it), shared by `eval` and every experiment verb.
+#[derive(Default)]
+struct RecordArgs {
+    json: Option<String>,
+    baseline: Option<String>,
+}
+
+impl RecordArgs {
+    /// A verb's whole option list, which holds only these two flags.
+    fn parse(verb: &str, args: &[String]) -> Result<RecordArgs, String> {
+        let mut out = RecordArgs::default();
+        let mut i = 0;
+        while i < args.len() {
+            if !out.take(args, &mut i)? {
+                return Err(format!("unknown {verb} option {:?}", args[i]));
             }
-            "--check-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = Some(p.clone()),
-                    None => {
-                        eprintln!("--check-baseline needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown fixpoint option {other:?}");
-                return ExitCode::from(2);
-            }
+            i += 1;
         }
-        i += 1;
+        Ok(out)
     }
+
+    /// Takes `args[*i]` and its operand when it is one of the two flags;
+    /// `Ok(false)` leaves any other argument to the caller.
+    fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        let flag = args[*i].as_str();
+        let slot = match flag {
+            "--json" => &mut self.json,
+            "--check-baseline" => &mut self.baseline,
+            _ => return Ok(false),
+        };
+        *i += 1;
+        *slot = Some(args.get(*i).ok_or_else(|| format!("{flag} needs a path"))?.clone());
+        Ok(true)
+    }
+}
+
+/// Writes the record to `--json`, gates it against `--check-baseline`, and
+/// prints the outcome: exit 1 on a failed gate, 2 on an I/O error.
+fn finish(record: &Record, args: &RecordArgs) -> ExitCode {
+    if let Some(path) = &args.json {
+        if let Err(e) = std::fs::write(path, record.render()) {
+            eprintln!("cannot write {path}: {e}");
+            return ExitCode::from(2);
+        }
+        println!("wrote {path}");
+    }
+    let Some(path) = &args.baseline else {
+        return ExitCode::SUCCESS;
+    };
+    let baseline = match read_json(path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("cannot read baseline {path}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let fails = record.check(&baseline);
+    if fails.is_empty() {
+        println!(
+            "baseline check: {} record matches {path}, {} check(s) within bounds",
+            record.experiment,
+            record.checks.len()
+        );
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("{} record fails against {path}:", record.experiment);
+    for f in &fails {
+        eprintln!("  {f}");
+    }
+    eprintln!("({} failure(s); measured values are gated only by their checks)", fails.len());
+    ExitCode::FAILURE
+}
+
+fn read_json(path: &str) -> Result<Json, String> {
+    std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|text| Json::parse(&text))
+}
+
+/// `eval fixpoint`: E12 — the bit-parallel FDS kernel vs the per-bit
+/// reference on a scaling sweep, plus the within-method delta re-solve on
+/// the E10 edit workload. Its work-unit counters are baseline-gated; wall
+/// times are recorded, never gated.
+fn fixpoint(args: &RecordArgs) -> ExitCode {
+    use canvas_bench::fixpoint::{collect_fixpoint_metrics, record, render_fixpoint};
     let m = collect_fixpoint_metrics();
     print!("{}", render_fixpoint(&m));
-    let doc = fixpoint_to_json(&m);
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, doc.render()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        let base = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text).map_err(|e| format!("not a JSON document: {e}")))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let drift = fixpoint_drift(&doc, &base);
-        if drift.is_empty() {
-            println!("baseline check: fixpoint counters match {path}");
-        } else {
-            eprintln!("fixpoint baseline drift against {path}:");
-            for d in &drift {
-                eprintln!("  {d}");
-            }
-            eprintln!("({} difference(s); wall times are never gated)", drift.len());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    finish(&record(&m), args)
 }
 
-/// `eval fleet [--json PATH] [--check-baseline PATH]`: the E15 fleet
-/// benchmark — shard sweep (1/2/4/8) over a fixed synthetic corpus plus a
-/// cold->warm certificate-store pair. `--check-baseline` gates the
-/// deterministic section (verdicts, digests, warm-run misses) against the
-/// committed baseline's `"fleet"` key and exits 1 on drift.
-fn fleet(args: &[String]) -> ExitCode {
-    use canvas_bench::fleet::{collect_fleet_metrics, fleet_drift, fleet_to_json, render_fleet};
-    let mut json_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--json needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--check-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = Some(p.clone()),
-                    None => {
-                        eprintln!("--check-baseline needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown fleet option {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
+/// `eval fleet`: E15 — shard sweep (1/2/4/8) over a fixed synthetic corpus
+/// plus a cold->warm certificate-store pair. Verdicts, digests and
+/// warm-run misses are baseline-gated.
+fn fleet(args: &RecordArgs) -> ExitCode {
+    use canvas_bench::fleet::{collect_fleet_metrics, record, render_fleet};
     let m = collect_fleet_metrics();
     print!("{}", render_fleet(&m));
-    let doc = fleet_to_json(&m);
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, doc.render()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        let base = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text).map_err(|e| format!("not a JSON document: {e}")))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let drift = fleet_drift(&doc, &base);
-        if drift.is_empty() {
-            println!("baseline check: fleet counters match {path}");
-        } else {
-            eprintln!("fleet baseline drift against {path}:");
-            for d in &drift {
-                eprintln!("  {d}");
-            }
-            eprintln!("({} difference(s); wall times are never gated)", drift.len());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    finish(&record(&m), args)
 }
 
-/// `eval oracle`: run the concrete-execution oracle on the Fig. 3 client.
-/// `eval obs [--json PATH] [--gate]`: the E13 observability harness —
-/// telemetry overhead under disabled/enabled/scoped modes and log₂-histogram
-/// quantile fidelity. `--gate` exits 1 when an overhead ceiling or the
-/// factor-2 quantile bound is broken (the CI obs-smoke gate).
-fn obs(args: &[String]) -> ExitCode {
-    use canvas_bench::obs::{collect_obs, collect_obs_gated, obs_to_json, render_obs};
-    let mut json_out: Option<String> = None;
-    let mut gate = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--json needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--gate" => gate = true,
-            other => {
-                eprintln!("unknown obs option {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    // gating re-measures a noise-spiked overhead table up to twice before
-    // believing a ceiling violation; the plain run measures once
-    let (report, fails) = if gate { collect_obs_gated(2) } else { (collect_obs(), Vec::new()) };
+/// `eval obs`: E13 — telemetry overhead under disabled/enabled/scoped modes
+/// and log₂-histogram quantile fidelity. Its checks are the overhead
+/// ceilings and the factor-2 quantile bound (the CI obs-smoke gate).
+fn obs(args: &RecordArgs) -> ExitCode {
+    use canvas_bench::obs::{collect_obs, record, render_obs};
+    let report = collect_obs();
     print!("{}", render_obs(&report));
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, obs_to_json(&report).render()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
-    }
-    if gate {
-        if !fails.is_empty() {
-            eprintln!("observability gate failed:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("observability gate: overheads within ceilings, quantiles within factor 2");
-    }
-    ExitCode::SUCCESS
+    finish(&record(&report), args)
 }
 
-/// `eval overload [--json PATH] [--gate]`: E14 — the open-loop overload
-/// sweep against an in-process `canvas serve` TCP daemon at 1x/4x/16x the
-/// calibrated capacity. `--gate` exits 1 when the robustness shape breaks:
-/// sheds at nominal load, nothing shed at 16x, an unbounded admitted-p99,
-/// a lost response, or hot-cache occupancy above its byte budget.
-fn overload(args: &[String]) -> ExitCode {
-    use canvas_bench::overload::{
-        collect_overload, gate_overload, overload_to_json, render_overload,
-    };
-    let mut json_out: Option<String> = None;
-    let mut gate = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--json needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--gate" => gate = true,
-            other => {
-                eprintln!("unknown overload option {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
+/// `eval overload`: E14 — the open-loop overload sweep against an
+/// in-process `canvas serve` TCP daemon at 1x/4x/16x the calibrated
+/// capacity. Its checks are the robustness shape: no lost response, cache
+/// within budget, ≤ 2% shed at 1x, sheds at 16x, a bounded admitted p99.
+fn overload(args: &RecordArgs) -> ExitCode {
+    use canvas_bench::overload::{collect_overload, record, render_overload};
     let report = match collect_overload() {
         Ok(r) => r,
         Err(e) => {
@@ -511,28 +343,7 @@ fn overload(args: &[String]) -> ExitCode {
         }
     };
     print!("{}", render_overload(&report));
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, overload_to_json(&report).render()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
-    }
-    if gate {
-        let fails = gate_overload(&report);
-        if !fails.is_empty() {
-            eprintln!("overload gate failed:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "overload gate: nominal load serves clean, 16x sheds in-band with bounded p99, \
-             cache within budget"
-        );
-    }
-    ExitCode::SUCCESS
+    finish(&record(&report), args)
 }
 
 /// `eval log-check FILE`: exit 1 unless `FILE` is a valid `canvas-log/1`
@@ -561,6 +372,7 @@ fn log_check(args: &[String]) -> ExitCode {
     }
 }
 
+/// `eval oracle`: run the concrete-execution oracle on the Fig. 3 client.
 /// Exit 1 on an oracle error (no main, spawn failure, or a contained
 /// interpreter panic — the injected `oracle-death` fault lands here).
 fn oracle_check() -> ExitCode {
@@ -598,10 +410,7 @@ fn trace_check(paths: &[String]) -> ExitCode {
         eprintln!("usage: eval trace-check PATH");
         return ExitCode::from(2);
     };
-    let doc = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(&text))
-    {
+    let doc = match read_json(path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("{path}: not valid JSON: {e}");
@@ -625,22 +434,25 @@ fn trace_check(paths: &[String]) -> ExitCode {
 }
 
 /// `eval compare A.json B.json`: exit 1 when the deterministic sections of
-/// two metrics documents differ.
+/// two records differ, 2 when they are not records of the same experiment.
 fn compare(paths: &[String]) -> ExitCode {
     let [a, b] = paths else {
         eprintln!("usage: eval compare A.json B.json");
         return ExitCode::from(2);
     };
-    let read = |path: &String| {
-        std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            })
+    let read = |path: &String| read_json(path).and_then(|doc| Record::from_json(&doc));
+    let (ra, rb) = match (read(a), read(b)) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("not a comparable record: {e}");
+            return ExitCode::from(2);
+        }
     };
-    let drift = deterministic_drift(&read(a), &read(b));
+    if ra.experiment != rb.experiment {
+        eprintln!("{a} is a {:?} record, {b} a {:?} record", ra.experiment, rb.experiment);
+        return ExitCode::from(2);
+    }
+    let drift = canvas_bench::json::diff(&ra.deterministic, &rb.deterministic);
     if drift.is_empty() {
         println!("deterministic metrics identical: {a} == {b}");
         ExitCode::SUCCESS
@@ -655,40 +467,13 @@ fn compare(paths: &[String]) -> ExitCode {
 
 fn run_table(what: &str, explain: bool) {
     match what {
-        "derive" => table_derive(),
         "fig3" if explain => print!("{}", canvas_bench::render_fig3_explained()),
-        "fig3" => table_fig3(),
-        "fig3-metrics" => table_fig3_metrics(),
-        "fig6" => figure_fig6(),
-        "fig7" => figure_fig7(),
-        "fig8" => figure_fig8(),
-        "generic-vs-specialized" => table_generic_vs_specialized(),
-        "precision" => table_precision(),
-        "timing" => table_timing(),
-        "modes" => table_modes(),
-        "scaling" => figure_scaling(),
-        "specs" => table_specs(),
-        "interproc" => table_interproc(),
-        "incr" => table_incr(),
-        "certs" => table_certs(),
-        "all" => {
-            table_derive();
-            table_fig3();
-            table_fig3_metrics();
-            figure_fig6();
-            figure_fig7();
-            figure_fig8();
-            table_generic_vs_specialized();
-            table_precision();
-            table_timing();
-            table_modes();
-            figure_scaling();
-            table_specs();
-            table_interproc();
-            table_incr();
-            table_certs();
+        "all" => TABLES.iter().for_each(|(_, table)| table()),
+        _ => {
+            let (_, table) =
+                TABLES.iter().find(|(name, _)| *name == what).expect("validated during parsing");
+            table()
         }
-        other => unreachable!("table {other:?} was validated during parsing"),
     }
 }
 

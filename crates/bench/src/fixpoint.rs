@@ -14,10 +14,9 @@
 //!   seeded from the cached solution of the base program. The seeded run
 //!   must reach the same fixpoint with strictly fewer worklist pops.
 //!
-//! The `eval fixpoint` subcommand renders both as text, emits the
-//! `canvas-bench-eval/2` document (`BENCH_fixpoint.json`), and gates the
-//! deterministic section against the committed `"fixpoint"` key of
-//! `bench/baseline.json`.
+//! The `eval fixpoint` subcommand renders both as text and emits the
+//! `fixpoint` record (`BENCH_fixpoint.json`), whose deterministic section
+//! is gated against the `"fixpoint"` key of `bench/baseline.json`.
 
 use std::time::{Duration, Instant};
 
@@ -28,6 +27,7 @@ use canvas_faults::Meter;
 use canvas_suite::generators;
 
 use crate::json::{obj, Json};
+use crate::record::{exact_percentile, Record};
 use crate::{fmt_duration, render_header, INCR_BASE, INCR_EDIT_FROM, INCR_EDIT_TO};
 
 /// One point of the E12 kernel sweep: a generated client solved by both
@@ -85,7 +85,7 @@ fn median_of<F: FnMut()>(runs: usize, mut f: F) -> Duration {
         })
         .collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    exact_percentile(&times, 0.5)
 }
 
 /// Sweeps generated CMP clients — the loopy [`generators::scmp_loop_blocks`]
@@ -224,11 +224,10 @@ pub fn collect_fixpoint_metrics() -> FixpointMetrics {
     FixpointMetrics { sweep: fixpoint_sweep(FIXPOINT_SWEEP), delta: delta_table() }
 }
 
-/// Builds the stable `canvas-bench-eval/2` document for `eval fixpoint`.
-/// Everything under `"deterministic"` must be byte-identical run-to-run
-/// (CI gates it against the `"fixpoint"` key of `bench/baseline.json`);
-/// the `"measured"` wall times are recorded but never gated.
-pub fn fixpoint_to_json(m: &FixpointMetrics) -> Json {
+/// The `fixpoint` record. Its `"deterministic"` section must be
+/// byte-identical run-to-run (CI gates it against the `"fixpoint"` key of
+/// `bench/baseline.json`); the `"measured"` wall times are never gated.
+pub fn record(m: &FixpointMetrics) -> Record {
     let det_sweep = Json::Arr(
         m.sweep
             .iter()
@@ -292,26 +291,11 @@ pub fn fixpoint_to_json(m: &FixpointMetrics) -> Json {
             })
             .collect(),
     );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-eval/2".to_string())),
-        (
-            "deterministic",
-            obj(vec![("sweep", det_sweep), ("delta", det_delta), ("counters", counters)]),
-        ),
-        ("measured", obj(vec![("sweep", measured)])),
-    ])
-}
-
-/// Compares an `eval fixpoint` document against the committed baseline:
-/// the document's `"deterministic"` subtree against the baseline's
-/// top-level `"fixpoint"` key (a sibling of the main eval's
-/// `"deterministic"` section, so the two gates never collide).
-pub fn fixpoint_drift(current: &Json, baseline: &Json) -> Vec<String> {
-    match (current.get("deterministic"), baseline.get("fixpoint")) {
-        (Some(c), Some(b)) => crate::json::diff(c, b),
-        (None, _) => vec!["missing \"deterministic\" section in the current document".to_string()],
-        (_, None) => vec!["missing \"fixpoint\" section in the baseline".to_string()],
-    }
+    Record::new(
+        "fixpoint",
+        obj(vec![("sweep", det_sweep), ("delta", det_delta), ("counters", counters)]),
+        obj(vec![("sweep", measured)]),
+    )
 }
 
 /// E12 as text, exactly as `eval fixpoint` prints it.
@@ -425,25 +409,18 @@ mod tests {
     }
 
     #[test]
-    fn fixpoint_document_round_trips_and_gates_itself() {
+    fn fixpoint_record_gates_itself() {
         let m = FixpointMetrics { sweep: fixpoint_sweep(&[4]), delta: delta_table() };
-        let doc = fixpoint_to_json(&m);
-        let text = doc.render();
-        let back = Json::parse(&text).expect("parses");
+        let r = record(&m);
+        let text = r.deterministic.render();
         // a baseline whose "fixpoint" key is this run's deterministic
         // section must gate clean
-        let baseline = obj(vec![(
-            "fixpoint",
-            back.get("deterministic").expect("deterministic section").clone(),
-        )]);
-        assert!(fixpoint_drift(&back, &baseline).is_empty());
+        let schema = ("schema", Json::Str(crate::record::SCHEMA.to_string()));
+        let baseline = obj(vec![schema.clone(), ("fixpoint", r.deterministic.clone())]);
+        assert!(r.check(&baseline).is_empty());
         // and a drifted counter must be caught
         let drifted = Json::parse(&text.replace("\"edge_visits\":", "\"edge_visits0\":"))
             .expect("still JSON");
-        let base2 = obj(vec![(
-            "fixpoint",
-            drifted.get("deterministic").expect("deterministic section").clone(),
-        )]);
-        assert!(!fixpoint_drift(&back, &base2).is_empty());
+        assert!(!r.check(&obj(vec![schema, ("fixpoint", drifted)])).is_empty());
     }
 }

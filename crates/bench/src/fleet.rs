@@ -5,7 +5,7 @@
 //! pair through an on-disk certificate store. The shard sweep demonstrates
 //! scaling and cache-merge traffic; the warm re-run demonstrates the
 //! tentpole property — zero recomputed cells, byte-identical corpus
-//! digest. Like the E12 fixpoint benchmark, the emitted document splits
+//! digest. Like the E12 fixpoint benchmark, the `fleet` record splits
 //! into a `deterministic` section (verdict counts, digests, warm-run
 //! hits/misses — gated against `bench/baseline.json`) and a `measured`
 //! section (wall clock, steals, merge traffic — recorded, never gated).
@@ -13,6 +13,7 @@
 use std::time::Duration;
 
 use crate::json::{obj, Json};
+use crate::record::Record;
 use crate::{fmt_duration, render_header};
 use canvas_core::Engine;
 use canvas_fleet::{generate_with_threads, run_fleet, FleetConfig, FleetItem, GenParams, Manifest};
@@ -183,68 +184,52 @@ pub fn collect_fleet_metrics() -> FleetBenchMetrics {
     }
 }
 
-/// The `canvas-bench-eval/2` document for the fleet benchmark.
-pub fn fleet_to_json(m: &FleetBenchMetrics) -> Json {
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-eval/2".to_string())),
-        (
-            "deterministic",
-            obj(vec![
-                ("programs", Json::Int(m.programs as u64)),
-                ("seed", Json::Int(m.seed)),
-                ("manifest_digest", Json::Str(m.manifest_digest.clone())),
-                ("certified", Json::Int(m.certified as u64)),
-                ("violating", Json::Int(m.violating as u64)),
-                ("violation_sites", Json::Int(m.violation_sites as u64)),
-                ("inconclusive", Json::Int(m.inconclusive as u64)),
-                ("truth_mismatches", Json::Int(m.truth_mismatches as u64)),
-                ("corpus_digest", Json::Str(m.corpus_digest.clone())),
-                ("shard_digests_agree", Json::Bool(m.shard_digests_agree)),
-                ("warm_misses", Json::Int(m.warm_misses)),
-                ("warm_digest_matches", Json::Bool(m.warm_digest_matches)),
-            ]),
-        ),
-        (
-            "measured",
-            obj(vec![
-                ("warm_hits", Json::Int(m.warm_hits)),
-                ("warm_seeded", Json::Int(m.warm_seeded)),
-                ("cold_wall_ms", Json::Int(m.cold_wall.as_millis() as u64)),
-                ("warm_wall_ms", Json::Int(m.warm_wall.as_millis() as u64)),
-                (
-                    "sweep",
-                    Json::Arr(
-                        m.sweep
-                            .iter()
-                            .map(|r| {
-                                obj(vec![
-                                    ("shards", Json::Int(r.shards as u64)),
-                                    ("wall_ms", Json::Int(r.wall.as_millis() as u64)),
-                                    ("merge_ms", Json::Int(r.merge_wall.as_millis() as u64)),
-                                    ("steals", Json::Int(r.steals)),
-                                    ("hits", Json::Int(r.hits)),
-                                    ("misses", Json::Int(r.misses)),
-                                    ("merged", Json::Int(r.merged)),
-                                    ("duplicates", Json::Int(r.duplicates)),
-                                    ("conflicts", Json::Int(r.conflicts)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+/// The `fleet` record, gated against the `"fleet"` key of the baseline.
+pub fn record(m: &FleetBenchMetrics) -> Record {
+    Record::new(
+        "fleet",
+        obj(vec![
+            ("programs", Json::Int(m.programs as u64)),
+            ("seed", Json::Int(m.seed)),
+            ("manifest_digest", Json::Str(m.manifest_digest.clone())),
+            ("certified", Json::Int(m.certified as u64)),
+            ("violating", Json::Int(m.violating as u64)),
+            ("violation_sites", Json::Int(m.violation_sites as u64)),
+            ("inconclusive", Json::Int(m.inconclusive as u64)),
+            ("truth_mismatches", Json::Int(m.truth_mismatches as u64)),
+            ("corpus_digest", Json::Str(m.corpus_digest.clone())),
+            ("shard_digests_agree", Json::Bool(m.shard_digests_agree)),
+            ("warm_misses", Json::Int(m.warm_misses)),
+            ("warm_digest_matches", Json::Bool(m.warm_digest_matches)),
+        ]),
+        obj(vec![
+            ("warm_hits", Json::Int(m.warm_hits)),
+            ("warm_seeded", Json::Int(m.warm_seeded)),
+            ("cold_wall_ms", Json::Int(m.cold_wall.as_millis() as u64)),
+            ("warm_wall_ms", Json::Int(m.warm_wall.as_millis() as u64)),
+            (
+                "sweep",
+                Json::Arr(
+                    m.sweep
+                        .iter()
+                        .map(|r| {
+                            obj(vec![
+                                ("shards", Json::Int(r.shards as u64)),
+                                ("wall_ms", Json::Int(r.wall.as_millis() as u64)),
+                                ("merge_ms", Json::Int(r.merge_wall.as_millis() as u64)),
+                                ("steals", Json::Int(r.steals)),
+                                ("hits", Json::Int(r.hits)),
+                                ("misses", Json::Int(r.misses)),
+                                ("merged", Json::Int(r.merged)),
+                                ("duplicates", Json::Int(r.duplicates)),
+                                ("conflicts", Json::Int(r.conflicts)),
+                            ])
+                        })
+                        .collect(),
                 ),
-            ]),
-        ),
-    ])
-}
-
-/// Compares a freshly collected document's deterministic section against
-/// the committed baseline's `"fleet"` key. Empty result = no drift.
-pub fn fleet_drift(current: &Json, baseline: &Json) -> Vec<String> {
-    match (current.get("deterministic"), baseline.get("fleet")) {
-        (Some(c), Some(b)) => crate::json::diff(c, b),
-        (None, _) => vec!["missing \"deterministic\" section in the current document".to_string()],
-        (_, None) => vec!["missing \"fleet\" section in the baseline".to_string()],
-    }
+            ),
+        ]),
+    )
 }
 
 /// Renders the E15 table.
@@ -301,22 +286,26 @@ pub fn render_fleet(m: &FleetBenchMetrics) -> String {
 mod tests {
     use super::*;
 
-    /// The benchmark gates itself: a baseline built from its own
-    /// deterministic section must show no drift, and the tentpole
+    /// The benchmark gates itself and the committed baseline: a baseline
+    /// built from its own deterministic section must show no drift, the
+    /// committed `bench/baseline.json` must match too, and the tentpole
     /// invariants (zero warm misses, digest agreement) must hold.
     #[test]
-    fn fleet_document_round_trips_and_gates_itself() {
+    fn fleet_record_gates_itself_and_the_committed_baseline() {
         let m = collect_fleet_metrics();
         assert_eq!(m.truth_mismatches, 0, "generator ground truth holds");
         assert!(m.shard_digests_agree, "every shard count yields the same digest");
         assert_eq!(m.warm_misses, 0, "warm re-run recomputes nothing");
         assert!(m.warm_digest_matches, "warm re-run reproduces the digest");
-        let doc = fleet_to_json(&m);
-        let det = doc.get("deterministic").expect("deterministic section").clone();
-        let baseline = obj(vec![("fleet", det)]);
-        assert!(fleet_drift(&doc, &baseline).is_empty(), "self-baseline shows no drift");
-        let corrupt = obj(vec![("fleet", obj(vec![("programs", Json::Int(7))]))]);
-        assert!(!fleet_drift(&doc, &corrupt).is_empty(), "corrupted baseline is caught");
+        let r = record(&m);
+        let schema = ("schema", Json::Str(crate::record::SCHEMA.to_string()));
+        let baseline = obj(vec![schema.clone(), ("fleet", r.deterministic.clone())]);
+        assert!(r.check(&baseline).is_empty(), "self-baseline shows no drift");
+        let corrupt = obj(vec![schema, ("fleet", obj(vec![("programs", Json::Int(7))]))]);
+        assert!(!r.check(&corrupt).is_empty(), "corrupted baseline is caught");
+        let committed = Json::parse(include_str!("../../../bench/baseline.json"))
+            .expect("bench/baseline.json is JSON");
+        assert_eq!(r.check(&committed), Vec::<String>::new(), "fleet drifted from the baseline");
         let text = render_fleet(&m);
         assert!(text.contains("E15: fleet shard sweep"));
         assert!(text.contains("warm re-run: 0 misses"));

@@ -19,6 +19,7 @@ pub mod fixpoint;
 pub mod fleet;
 pub mod obs;
 pub mod overload;
+pub mod record;
 
 static SUITE_JOBS: canvas_telemetry::Counter = canvas_telemetry::Counter::new("suite.jobs");
 // Worker count follows the machine (or CANVAS_EVAL_THREADS), so it is
@@ -435,7 +436,7 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Everything `eval --metrics-json` emits: the E1 derivation rows, the
+/// Everything the `eval` record holds: the E1 derivation rows, the
 /// E4/E5 precision+timing cells, and a telemetry snapshot of the whole run.
 pub struct EvalMetrics {
     /// E1 derivation rows.
@@ -520,11 +521,11 @@ fn serve_overload_exercise() {
     run(script, &ServeConfig { workers: 1, cache_bytes: Some(1024), ..ServeConfig::default() });
 }
 
-/// Builds the stable `canvas-bench-eval/1` document. Everything under
-/// `"deterministic"` must be byte-identical run-to-run (CI gates it against
-/// `bench/baseline.json`); everything under `"measured"` — timings and
+/// The `eval` record. Its `"deterministic"` section must be
+/// byte-identical run-to-run (CI gates it against the `"eval"` key of
+/// `bench/baseline.json`); its `"measured"` section — timings and
 /// scheduling-dependent counters — is recorded but never gated.
-pub fn metrics_to_json(m: &EvalMetrics) -> json::Json {
+pub fn record(m: &EvalMetrics) -> record::Record {
     use json::{obj, Json};
     let derivation = Json::Arr(
         m.derivation
@@ -617,31 +618,16 @@ pub fn metrics_to_json(m: &EvalMetrics) -> json::Json {
             })
             .collect(),
     );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-eval/2".to_string())),
-        (
-            "deterministic",
-            obj(vec![
-                ("derivation", derivation),
-                ("cells", det_cells),
-                ("incremental", det_incremental),
-                ("counters", det_counters),
-            ]),
-        ),
-        (
-            "measured",
-            obj(vec![("cells", timed_cells), ("counters", nondet_counters), ("timers", timers)]),
-        ),
-    ])
-}
-
-/// Compares the `"deterministic"` subtrees of two `canvas-bench-eval/1`
-/// documents; returns the drift as human-readable lines (empty = no drift).
-pub fn deterministic_drift(current: &json::Json, baseline: &json::Json) -> Vec<String> {
-    match (current.get("deterministic"), baseline.get("deterministic")) {
-        (Some(c), Some(b)) => json::diff(c, b),
-        _ => vec!["missing \"deterministic\" section in one of the documents".to_string()],
-    }
+    record::Record::new(
+        "eval",
+        obj(vec![
+            ("derivation", derivation),
+            ("cells", det_cells),
+            ("incremental", det_incremental),
+            ("counters", det_counters),
+        ]),
+        obj(vec![("cells", timed_cells), ("counters", nondet_counters), ("timers", timers)]),
+    )
 }
 
 /// Deterministic per-engine work counters on the Fig. 3 example, as pinned

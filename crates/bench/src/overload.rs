@@ -9,10 +9,10 @@
 //! rate, admitted-request latency quantiles, throughput, and the
 //! certificate cache's hit/occupancy counters scraped in-band.
 //!
-//! Wall-clock numbers are measured, never baseline-gated. The `--gate`
-//! mode enforces the *robustness shape* instead: at 1x the daemon sheds
-//! (almost) nothing; at 16x it sheds deterministically-in-band rather
-//! than queueing without bound, the p99 of *admitted* requests stays
+//! Wall-clock numbers are measured, never baseline-gated. The `overload`
+//! record's checks enforce the *robustness shape* instead: at 1x the
+//! daemon sheds (almost) nothing; at 16x it sheds deterministically
+//! in-band rather than queueing without bound, the p99 of *admitted* requests stays
 //! within the bounded queue's worth of service times, and the hot cache
 //! never exceeds its byte budget.
 
@@ -24,7 +24,7 @@ use canvas_incr::json::{obj, Json};
 use canvas_incr::net::serve_listener;
 use canvas_incr::service::ServeConfig;
 
-use crate::obs::exact_percentile;
+use crate::record::{exact_percentile, Check, Record};
 
 /// Worker pool size of the daemon under test.
 pub const WORKERS: usize = 2;
@@ -233,52 +233,16 @@ pub fn collect_overload() -> Result<OverloadReport, String> {
     result
 }
 
-/// Gate violations for `--gate` mode; empty = pass.
-pub fn gate_overload(r: &OverloadReport) -> Vec<String> {
-    let mut fails = Vec::new();
-    for p in &r.points {
-        if p.admitted + p.shed != p.offered {
-            fails.push(format!(
-                "{}x: {} admitted + {} shed != {} offered (a response went missing)",
-                p.load, p.admitted, p.shed, p.offered
-            ));
-        }
-        if p.cache_bytes > CACHE_BYTES {
-            fails.push(format!(
-                "{}x: hot cache occupancy {} exceeds the {CACHE_BYTES}-byte budget",
-                p.load, p.cache_bytes
-            ));
-        }
-    }
-    if let Some(p1) = r.points.iter().find(|p| p.load == 1) {
-        // ≤ 2% shed at nominal load
-        if p1.shed * 50 > p1.offered {
-            fails.push(format!(
-                "1x: shed {} of {} offered (expected ~0 at nominal load)",
-                p1.shed, p1.offered
-            ));
-        }
-    }
-    if let Some(p16) = r.points.iter().find(|p| p.load == 16) {
-        if p16.shed == 0 {
-            fails.push("16x: nothing shed at 16x offered load (queue must be unbounded?)".into());
-        }
-        // admitted requests wait at most ~(queue+workers) service times;
-        // the factor-8 slack absorbs scheduling noise on shared CI
-        let bound = r.service * ((QUEUE_CAP + WORKERS) as u32) * 8;
-        if p16.p99 > bound {
-            fails.push(format!(
-                "16x: admitted p99 {:?} exceeds the bounded-queue ceiling {:?} (service {:?})",
-                p16.p99, bound, r.service
-            ));
-        }
-    }
-    fails
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// The stable `canvas-bench-overload/1` document (integers only).
-pub fn overload_to_json(r: &OverloadReport) -> Json {
-    let ns = |d: Duration| Json::Int(d.as_nanos().min(u128::from(u64::MAX)) as u64);
+/// The `overload` record (integers only). Nothing is baseline-gated; the
+/// checks are the robustness shape: every offered request answered, the
+/// hot cache within its budget at every point, ≤ 2% shed at 1x, something
+/// shed at 16x, and the 16x admitted p99 within the bounded-queue ceiling.
+pub fn record(r: &OverloadReport) -> Record {
+    let ns = |d: Duration| Json::Int(nanos(d));
     let points = Json::Arr(
         r.points
             .iter()
@@ -288,14 +252,12 @@ pub fn overload_to_json(r: &OverloadReport) -> Json {
                 } else {
                     (p.admitted as u128 * 1_000_000_000 / p.wall.as_nanos().max(1)) as u64
                 };
-                // integer-only schema: the shed *rate* ships as per-10000
-                let shed_per_10000 = (p.shed * 10_000).checked_div(p.offered).unwrap_or(0);
                 obj(vec![
                     ("load", Json::Int(p.load)),
                     ("offered", Json::Int(p.offered)),
                     ("admitted", Json::Int(p.admitted)),
                     ("shed", Json::Int(p.shed)),
-                    ("shed_per_10000", Json::Int(shed_per_10000)),
+                    ("shed_per_10000", Json::Int(shed_per_10000(p))),
                     ("p50_ns", ns(p.p50)),
                     ("p99_ns", ns(p.p99)),
                     ("wall_ns", ns(p.wall)),
@@ -314,14 +276,48 @@ pub fn overload_to_json(r: &OverloadReport) -> Json {
             })
             .collect(),
     );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-overload/1".to_string())),
+    let measured = obj(vec![
         ("workers", Json::Int(WORKERS as u64)),
         ("queue", Json::Int(QUEUE_CAP as u64)),
         ("cache_budget_bytes", Json::Int(CACHE_BYTES)),
         ("service_ns", ns(r.service)),
         ("points", points),
-    ])
+    ]);
+    let mut record = Record::new("overload", obj(vec![]), measured);
+    for p in &r.points {
+        let at = |what: &str| format!("{}x.{what}", p.load);
+        let answered = p.admitted + p.shed;
+        record.checks.push(Check::new(at("answered"), answered, Some(p.offered), Some(p.offered)));
+        record.checks.push(Check::new(at("cache_bytes"), p.cache_bytes, None, Some(CACHE_BYTES)));
+        match p.load {
+            1 => record.checks.push(Check::new(
+                at("shed_per_10000"),
+                shed_per_10000(p),
+                None,
+                Some(200),
+            )),
+            16 => {
+                record.checks.push(Check::new(at("shed"), p.shed, Some(1), None));
+                // admitted requests wait at most ~(queue+workers) service
+                // times; the factor-8 slack absorbs scheduling noise on
+                // shared CI
+                let bound = r.service * ((QUEUE_CAP + WORKERS) as u32) * 8;
+                record.checks.push(Check::new(
+                    at("p99_ns"),
+                    nanos(p.p99),
+                    None,
+                    Some(nanos(bound)),
+                ));
+            }
+            _ => {}
+        }
+    }
+    record
+}
+
+/// The shed rate in the integer-only record: sheds per 10000 offered.
+fn shed_per_10000(p: &OverloadPoint) -> u64 {
+    (p.shed * 10_000).checked_div(p.offered).unwrap_or(0)
 }
 
 /// E14 as text.
@@ -359,4 +355,60 @@ pub fn render_overload(r: &OverloadReport) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn clean() -> OverloadReport {
+        let ms = Duration::from_millis;
+        let point = |load, admitted, shed, p99| OverloadPoint {
+            load,
+            offered: 120,
+            admitted,
+            shed,
+            p50: ms(1),
+            p99: ms(p99),
+            wall: ms(100),
+            cache_bytes: CACHE_BYTES / 2,
+            cache_hits: 90,
+            cache_misses: 30,
+            cache_evictions: 0,
+        };
+        OverloadReport {
+            service: ms(1),
+            points: vec![point(1, 120, 0, 2), point(4, 120, 0, 3), point(16, 46, 74, 7)],
+        }
+    }
+
+    fn failing(r: &OverloadReport) -> Vec<String> {
+        record(r).checks.into_iter().filter(|c| c.violation().is_some()).map(|c| c.name).collect()
+    }
+
+    #[test]
+    fn each_overload_fault_fails_exactly_its_own_check() {
+        let baseline = obj(vec![("schema", Json::Str(crate::record::SCHEMA.to_string()))]);
+        assert_eq!(record(&clean()).check(&baseline), Vec::<String>::new());
+        type Fault = fn(&mut OverloadReport);
+        let faults: [(&str, Fault); 5] = [
+            ("4x.answered", |r| r.points[1].admitted -= 1),
+            ("16x.cache_bytes", |r| r.points[2].cache_bytes = CACHE_BYTES + 1),
+            ("1x.shed_per_10000", |r| {
+                r.points[0].admitted -= 3;
+                r.points[0].shed += 3;
+            }),
+            ("16x.shed", |r| {
+                r.points[2].admitted += r.points[2].shed;
+                r.points[2].shed = 0;
+            }),
+            // the ceiling is (queue + workers) · service · 8 = 80ms here
+            ("16x.p99_ns", |r| r.points[2].p99 = Duration::from_millis(81)),
+        ];
+        for (name, fault) in faults {
+            let mut r = clean();
+            fault(&mut r);
+            assert_eq!(failing(&r), vec![name.to_string()]);
+        }
+    }
 }
