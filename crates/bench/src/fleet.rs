@@ -310,4 +310,18 @@ mod tests {
         assert!(text.contains("E15: fleet shard sweep"));
         assert!(text.contains("warm re-run: 0 misses"));
     }
+
+    /// `fleet run --report` writes a `canvas-bench/1` record, so `eval
+    /// compare` reads it and diffs two runs' deterministic sections.
+    #[test]
+    fn fleet_run_report_is_a_bench_record() {
+        let (items, _) = bench_corpus();
+        let report = run_fleet(&items[..4], &cmp_config(2)).expect("fleet runs");
+        let doc = Json::parse(&report.to_json().render()).expect("report is JSON");
+        let r = Record::from_json(&doc).expect("report is a bench record");
+        assert_eq!(r.experiment, "fleet-run");
+        assert!(r.checks.is_empty());
+        assert_eq!(r.deterministic.get("programs"), Some(&Json::Int(4)));
+        assert_eq!(r.to_json(), doc, "the record re-renders byte-identically");
+    }
 }

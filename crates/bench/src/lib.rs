@@ -74,17 +74,6 @@ pub struct PrecisionCell {
     pub scope: Option<canvas_telemetry::ScopeSnapshot>,
 }
 
-/// Runs one engine on one benchmark, with whole-program coverage.
-pub fn run_cell(certifier: &Certifier, b: &Benchmark, engine: Engine) -> PrecisionCell {
-    match canvas_minijava::Program::parse(b.source, certifier.spec()) {
-        Ok(program) => {
-            let prepared = PreparedProgram::new(&program);
-            run_cell_prepared(certifier, b, &program, &prepared, engine)
-        }
-        Err(e) => failed_cell(b, engine, CertifyError::from(e).to_string()),
-    }
-}
-
 /// Runs one engine on one parsed benchmark, reusing `prepared`'s transform
 /// caches — several engines (possibly on different worker threads) then
 /// compute each boolean-program / TVP translation only once.

@@ -16,7 +16,7 @@
 use crate::json::{self, obj, Json};
 
 /// The record's `schema` tag, also required of the baseline.
-pub const SCHEMA: &str = "canvas-bench/1";
+pub use crate::json::BENCH_SCHEMA as SCHEMA;
 
 /// One gated measured value with its inclusive bounds.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -87,11 +87,6 @@ impl Spec {
             .map(|c| *c.name())
             .collect()
     }
-
-    /// All methods of all classes, paired with their class.
-    pub fn all_methods(&self) -> impl Iterator<Item = (&ClassSpec, &MethodSpec)> {
-        self.classes.iter().flat_map(|c| c.methods().iter().map(move |m| (c, m)))
-    }
 }
 
 /// A field declaration.

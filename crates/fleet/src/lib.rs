@@ -15,7 +15,7 @@
 //!   end;
 //! * [`report`] — the aggregated fleet report: verdicts, ground-truth
 //!   mismatches, cache/merge traffic, per-shard latency histograms, as a
-//!   table and as the stable `canvas-bench-fleet/1` JSON document.
+//!   table and as the stable `canvas-bench/1` record (experiment `fleet-run`).
 //!
 //! # Example
 //!

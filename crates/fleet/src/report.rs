@@ -1,7 +1,7 @@
-//! The aggregated fleet report: table rendering and the
-//! `canvas-bench-fleet/1` JSON document.
+//! The aggregated fleet report: table rendering and the `canvas-bench/1`
+//! record of experiment `fleet-run`.
 //!
-//! The document is split the same way the evaluation metrics are: a
+//! The record is split the same way the evaluation's records are: a
 //! `deterministic` section (verdict counts, ground-truth mismatches, the
 //! corpus outcome digest — schedule-independent, baseline-gateable) and a
 //! `measured` section (wall clock, cache traffic, steals, per-shard
@@ -12,11 +12,11 @@
 use std::time::Duration;
 
 use canvas_incr::fingerprint::Fingerprint;
-use canvas_incr::json::{obj, Json};
+use canvas_incr::json::{obj, Json, BENCH_SCHEMA};
 use canvas_telemetry::Log2Hist;
 
-/// The `canvas fleet` JSON format tag.
-pub const REPORT_FORMAT: &str = "canvas-bench-fleet/1";
+/// The `experiment` name of the `canvas fleet run --report` record.
+pub const EXPERIMENT: &str = "fleet-run";
 
 /// Per-shard outcome row.
 #[derive(Clone, Debug, Default)]
@@ -163,10 +163,11 @@ impl FleetReport {
         out
     }
 
-    /// Renders the `canvas-bench-fleet/1` JSON document.
+    /// Renders the `canvas-bench/1` record (no gated checks).
     pub fn to_json(&self) -> Json {
         obj(vec![
-            ("format", Json::Str(REPORT_FORMAT.to_string())),
+            ("schema", Json::Str(BENCH_SCHEMA.to_string())),
+            ("experiment", Json::Str(EXPERIMENT.to_string())),
             (
                 "deterministic",
                 obj(vec![
@@ -237,6 +238,7 @@ impl FleetReport {
                     ),
                 ]),
             ),
+            ("checks", Json::Arr(Vec::new())),
         ])
     }
 }

@@ -1,13 +1,17 @@
 //! A minimal JSON value, emitter, and parser shared by the metrics
-//! documents (`BENCH_eval.json`), the certificate store, and the `canvas
-//! serve` newline-delimited protocol (the workspace builds offline, so no
-//! serde).
+//! documents (`canvas-bench/1` records), the certificate store, and the
+//! `canvas serve` newline-delimited protocol (the workspace builds offline,
+//! so no serde).
 //!
 //! The schemas need only unsigned 64-bit integers (counters, nanosecond
 //! totals), strings, booleans, arrays, and objects; object keys keep
 //! insertion order so the emitted documents are byte-stable run-to-run.
 
 use std::fmt::Write as _;
+
+/// The `schema` tag of the one bench record shape, written by every `eval`
+/// experiment and by `canvas fleet run --report`.
+pub const BENCH_SCHEMA: &str = "canvas-bench/1";
 
 /// A JSON document node.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -140,7 +144,7 @@ impl Json {
     /// Returns a message with a byte offset on malformed input (including
     /// floats and negative numbers, which the schema never produces).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -169,7 +173,10 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// A recursive-descent parser over a valid `&str`; `bytes` is the same
+/// input as bytes, for single-byte dispatch.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -224,9 +231,9 @@ impl Parser<'_> {
         if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
             return Err(format!("unsupported non-integer number at byte {start}"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<u64>()
             .ok()
-            .and_then(|s| s.parse::<u64>().ok())
             .map(Json::Int)
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
@@ -252,9 +259,8 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             out.push(
@@ -268,12 +274,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // copy one UTF-8 scalar (the input is a valid &str)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad utf-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the whole run up to the next `"` or `\`: both
+                    // are ASCII, so the run ends on a char boundary and the
+                    // slice is valid UTF-8 — one pass over the input
+                    let start = self.pos;
+                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -384,7 +392,7 @@ mod tests {
 
     fn doc() -> Json {
         obj(vec![
-            ("schema", Json::Str("canvas-bench-eval/1".to_string())),
+            ("schema", Json::Str("canvas-bench/1".to_string())),
             (
                 "cells",
                 Json::Arr(vec![
@@ -466,6 +474,24 @@ mod tests {
     }
 
     #[test]
+    fn string_decode_is_linear_in_the_input() {
+        // a ≥ 4 MiB value with multi-byte chars at both ends and on either
+        // side of every escape kind; a decoder that rescans the rest of the
+        // input per char needs minutes here, a linear one milliseconds
+        let unit = "é\"ü\\字\n😀\u{1}ß plain ascii run ";
+        let value = format!("€{}€", unit.repeat((4 << 20) / unit.len() + 1));
+        assert!(value.len() >= 4 << 20);
+        let text = Json::Str(value.clone()).render_compact();
+        assert!(text.contains("\\u0001") && text.starts_with("\"€") && text.ends_with("€\""));
+        let started = std::time::Instant::now();
+        let back = Json::parse(&text);
+        let took = started.elapsed();
+        assert_eq!(back, Ok(Json::Str(value)));
+        // ~0.14 s in a debug build on 2 vCPUs: 35x headroom for loaded hosts
+        assert!(took < std::time::Duration::from_secs(5), "decode took {took:?}");
+    }
+
+    #[test]
     fn diff_reports_paths() {
         let a = obj(vec![("x", Json::Int(1)), ("y", Json::Arr(vec![Json::Int(2)]))]);
         let b = obj(vec![("x", Json::Int(3)), ("y", Json::Arr(vec![Json::Int(2)]))]);
@@ -480,7 +506,7 @@ mod tests {
     #[test]
     fn get_looks_up_object_keys() {
         let d = doc();
-        assert_eq!(d.get("schema"), Some(&Json::Str("canvas-bench-eval/1".to_string())));
+        assert_eq!(d.get("schema"), Some(&Json::Str("canvas-bench/1".to_string())));
         assert_eq!(d.get("nope"), None);
         assert_eq!(Json::Int(3).get("x"), None);
     }

@@ -2,10 +2,10 @@
 //! cache.
 //!
 //! The map is generic over its value type so the policy is testable in
-//! isolation; the certificate store instantiates it with decoded
-//! certificates and charges each entry its byte-accurate
+//! isolation; the certificate store instantiates it with certificate
+//! store lines (`Arc<str>`) and charges each entry its byte-accurate
 //! `canvas-cert-cache/2` store-line cost, so "occupancy" means exactly
-//! "bytes this cache would write to disk".
+//! "bytes this cache holds", which are the bytes it would write to disk.
 //!
 //! Design constraints, in order:
 //!

@@ -20,10 +20,17 @@
 //! cached without a solution degrade to a miss when a certificate is
 //! requested.
 //!
+//! The store holds each certificate in one form only: its canonical store
+//! line (the compact JSON a persist writes), shared as an `Arc<str>`.
+//! Every hit — hot, spilled, or a stale delta seed — decodes that line
+//! with the linear [`crate::json`] parser; eviction, spill, export and
+//! persist only move the pointer.
+//!
 //! The in-memory tier is a sharded, size-budgeted LRU ([`crate::lru`]):
-//! each certificate is charged its byte-accurate store-line cost, and when
-//! the hot tier overflows its `--cache-bytes` budget the least-recently
-//! used certificates are *evicted*. Eviction is sound by construction —
+//! each certificate is charged its byte-accurate store-line cost — the
+//! bytes the tier actually holds — and when the hot tier overflows its
+//! `--cache-bytes` budget the least-recently used certificates are
+//! *evicted*. Eviction is sound by construction —
 //! every resident entry is a complete verdict that any later request can
 //! recompute from scratch, so losing one can cost latency but never change
 //! an answer. On a disk-backed store the evicted line spills to a cold map
@@ -32,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use canvas_abstraction::{CellSolution, CertCell};
 use canvas_core::{
@@ -547,18 +554,10 @@ pub struct MergeStats {
     pub merged: u64,
     /// Entries both stores already held byte-identically: skipped.
     pub duplicates: u64,
-    /// Keys held by both stores under *different* bytes (a fingerprint
-    /// collision or corruption): the receiver's entry wins.
+    /// Keys held by both stores under *different* bytes (e.g. a
+    /// delta-seeded re-solve's `work`): the lexicographically smaller line
+    /// wins.
     pub conflicts: u64,
-}
-
-/// One hot-tier entry: the decoded certificate plus the exact store line
-/// it serializes to. Keeping the line makes the byte accounting exact,
-/// persist allocation-free per entry, and the spill handoff a pointer copy.
-#[derive(Clone)]
-struct HotEntry {
-    report: CachedReport,
-    line: std::sync::Arc<str>,
 }
 
 /// The canvas-cert-cache/2 cost of one entry: `<16-hex-key> <line>\n`.
@@ -566,10 +565,15 @@ fn line_cost(line: &str) -> usize {
     16 + 1 + line.len() + 1
 }
 
+/// Decodes one store line: the only way a held certificate becomes a
+/// [`CachedReport`] again.
 fn decode_line(line: &str) -> Result<CachedReport, String> {
     let json = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
     CachedReport::from_json(&json)
 }
+
+/// Certificate store lines by key.
+type Lines = HashMap<u64, Arc<str>>;
 
 /// Default shard count for the hot tier; small budgets collapse to fewer
 /// shards inside [`crate::lru::ShardedLru`].
@@ -579,11 +583,11 @@ struct Inner {
     /// Last key seen per `(method, entry_unknown, engine)` cell, for
     /// invalidation accounting.
     last_keys: HashMap<(String, bool, String), u64>,
-    /// Serialized lines of entries evicted from the hot tier. Only
+    /// Lines of entries evicted from the hot tier. Only
     /// disk-backed stores spill (the disk tier keeps everything); an
     /// in-memory store forgets evictees. Disjoint from the hot tier by
     /// construction.
-    spill: HashMap<u64, std::sync::Arc<str>>,
+    spill: Lines,
     stats: CacheStats,
     dirty: bool,
 }
@@ -593,7 +597,8 @@ struct Inner {
 ///
 /// Lock order is `inner` before any hot-tier shard, everywhere.
 pub struct CertCache {
-    hot: crate::lru::ShardedLru<HotEntry>,
+    /// Canonical store lines, charged their [`line_cost`].
+    hot: crate::lru::ShardedLru<Arc<str>>,
     inner: Mutex<Inner>,
     path: Option<PathBuf>,
 }
@@ -692,12 +697,9 @@ impl CertCache {
         let mut keys: Vec<u64> = entries.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            let Some(report) = entries.remove(&key) else { continue };
-            let line: std::sync::Arc<str> = std::sync::Arc::from(report.to_json().render_compact());
+            let Some(line) = entries.remove(&key) else { continue };
             let cost = line_cost(&line);
-            for (k, e) in hot.insert(key, HotEntry { report, line }, cost) {
-                spill.insert(k, e.line);
-            }
+            spill.extend(hot.insert(key, line, cost));
         }
         CertCache {
             hot,
@@ -706,9 +708,11 @@ impl CertCache {
         }
     }
 
-    /// Parses the store text. `Err` = nothing salvageable (bad header);
-    /// `Ok((entries, Some(why)))` = a valid prefix with the tail dropped.
-    fn parse_store(text: &str) -> Result<(HashMap<u64, CachedReport>, Option<String>), String> {
+    /// Parses the store text into validated, canonically re-rendered lines
+    /// (so a persist writes the bytes this build would have written).
+    /// `Err` = nothing salvageable (bad header); `Ok((entries, Some(why)))`
+    /// = a valid prefix with the tail dropped.
+    fn parse_store(text: &str) -> Result<(Lines, Option<String>), String> {
         let mut lines = text.lines();
         match lines.next() {
             Some(header) if header == STORE_FORMAT => {}
@@ -719,16 +723,15 @@ impl CertCache {
         }
         let mut entries = HashMap::new();
         for (i, line) in lines.enumerate() {
-            let parsed = (|| -> Result<(u64, CachedReport), String> {
+            let parsed = (|| -> Result<(u64, Arc<str>), String> {
                 let (key_hex, json_text) =
                     line.split_once(' ').ok_or("line is not `<key> <json>`")?;
                 let key = Fingerprint::parse(key_hex).ok_or("bad key hex")?;
-                let json = Json::parse(json_text).map_err(|e| format!("bad JSON: {e}"))?;
-                Ok((key.0, CachedReport::from_json(&json)?))
+                Ok((key.0, Arc::from(decode_line(json_text)?.to_json().render_compact())))
             })();
             match parsed {
-                Ok((key, report)) => {
-                    entries.insert(key, report);
+                Ok((key, line)) => {
+                    entries.insert(key, line);
                 }
                 // drop this line AND the rest: mid-file corruption means the
                 // tail cannot be trusted either (torn writes tear the tail)
@@ -769,27 +772,23 @@ impl CertCache {
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let cell = (method.to_string(), entry_unknown, engine.to_string());
         let previous = inner.last_keys.insert(cell, key.0);
-        let mut found = self.hot.get(key.0).map(|e| e.report);
         let mut from_spill = false;
-        if found.is_none() {
-            if let Some(line) = inner.spill.remove(&key.0) {
-                // a decode failure is unreachable short of in-process
-                // memory corruption (we wrote that line ourselves), and
-                // degrades to a miss all the same
-                if let Ok(report) = decode_line(&line) {
-                    // promote back into the hot tier; whatever that
-                    // displaces takes its place in the spill
-                    from_spill = true;
-                    let entry = HotEntry { report: report.clone(), line: line.clone() };
-                    for (k, e) in self.hot.insert(key.0, entry, line_cost(&line)) {
-                        inner.stats.evictions += 1;
-                        CACHE_EVICTIONS.incr();
-                        inner.spill.insert(k, e.line);
-                    }
-                    found = Some(report);
-                }
+        let line = self.hot.get(key.0).or_else(|| {
+            let line = inner.spill.remove(&key.0)?;
+            // promote back into the hot tier; whatever that displaces
+            // takes its place in the spill
+            from_spill = true;
+            for (k, l) in self.hot.insert(key.0, Arc::clone(&line), line_cost(&line)) {
+                inner.stats.evictions += 1;
+                CACHE_EVICTIONS.incr();
+                inner.spill.insert(k, l);
             }
-        }
+            Some(line)
+        });
+        // a decode failure is unreachable short of in-process memory
+        // corruption (every held line was rendered or validated by this
+        // process), and degrades to a miss all the same
+        let found = line.and_then(|l| decode_line(&l).ok());
         let mut stale = None;
         match &found {
             Some(_) => {
@@ -805,12 +804,9 @@ impl CertCache {
                 if previous.is_some_and(|p| p != key.0) {
                     inner.stats.invalidations += 1;
                     CACHE_INVALIDATIONS.incr();
-                    stale = previous.and_then(|p| {
-                        self.hot
-                            .peek(p)
-                            .map(|e| e.report)
-                            .or_else(|| inner.spill.get(&p).and_then(|line| decode_line(line).ok()))
-                    });
+                    stale = previous
+                        .and_then(|p| self.hot.peek(p).or_else(|| inner.spill.get(&p).cloned()))
+                        .and_then(|line| decode_line(&line).ok());
                 }
             }
         }
@@ -820,18 +816,24 @@ impl CertCache {
     /// Inserts a certificate under `key`, evicting least-recently-used
     /// entries if the hot tier outgrows its byte budget.
     pub fn store(&self, key: Fingerprint, report: CachedReport) {
-        let line: std::sync::Arc<str> = std::sync::Arc::from(report.to_json().render_compact());
-        let cost = line_cost(&line);
+        let line: Arc<str> = Arc::from(report.to_json().render_compact());
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.spill.remove(&key.0);
         inner.stats.stores += 1;
         CACHE_STORES.incr();
+        self.admit(&mut inner, key.0, line);
+    }
+
+    /// Puts `line` in the hot tier under `key`, spilling (disk-backed) or
+    /// forgetting (in-memory) whatever the byte budget evicts.
+    fn admit(&self, inner: &mut Inner, key: u64, line: Arc<str>) {
+        let cost = line_cost(&line);
         CACHE_BYTES.add(cost as u64);
-        for (k, e) in self.hot.insert(key.0, HotEntry { report, line }, cost) {
+        for (k, l) in self.hot.insert(key, line, cost) {
             inner.stats.evictions += 1;
             CACHE_EVICTIONS.incr();
             if self.path.is_some() {
-                inner.spill.insert(k, e.line);
+                inner.spill.insert(k, l);
             }
         }
         inner.dirty = true;
@@ -841,14 +843,18 @@ impl CertCache {
     /// sorted key order — exactly the lines [`CertCache::persist`] would
     /// write. The export is the store's merge interchange format: entries
     /// are content-addressed, so a line is a self-contained certificate.
-    pub fn export_lines(&self) -> Vec<(Fingerprint, std::sync::Arc<str>)> {
+    pub fn export_lines(&self) -> Vec<(Fingerprint, Arc<str>)> {
         let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut lines: Vec<(u64, std::sync::Arc<str>)> =
-            inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
-        lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
-        drop(inner);
+        self.sorted_lines(&inner).into_iter().map(|(k, l)| (Fingerprint(k), l)).collect()
+    }
+
+    /// Both tiers' lines in sorted key order (the caller holds `inner`).
+    fn sorted_lines(&self, inner: &Inner) -> Vec<(u64, Arc<str>)> {
+        let mut lines: Vec<(u64, Arc<str>)> =
+            inner.spill.iter().map(|(k, l)| (*k, Arc::clone(l))).collect();
+        lines.extend(self.hot.entries());
         lines.sort_unstable_by_key(|(k, _)| *k);
-        lines.into_iter().map(|(k, l)| (Fingerprint(k), l)).collect()
+        lines
     }
 
     /// Copies every certificate of `other` that this store does not
@@ -867,65 +873,47 @@ impl CertCache {
         let mut out = MergeStats::default();
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         for (key, line) in donor {
-            let in_hot = self.hot.peek(key.0).map(|e| e.line);
-            let existing = in_hot.clone().or_else(|| inner.spill.get(&key.0).cloned());
-            if let Some(mine) = existing {
-                if *mine == *line {
+            // the tiers are disjoint: a spilled key is not in the hot tier
+            let spilled = inner.spill.get(&key.0).cloned();
+            let in_spill = spilled.is_some();
+            let existing = spilled.or_else(|| self.hot.peek(key.0));
+            if let Some(mine) = &existing {
+                if *mine == line {
                     out.duplicates += 1;
-                } else {
-                    // Same key, different bytes. This is benign when two
-                    // runs solved the same cell along different paths (a
-                    // delta-seeded re-solve records different `work` than a
-                    // from-⊥ solve). Resolve deterministically — keep the
-                    // lexicographically smaller line — so merge is
-                    // commutative: merge(a, b) and merge(b, a) persist
-                    // byte-identical stores even under conflicts.
-                    out.conflicts += 1;
-                    if *line < *mine {
-                        if let Ok(report) = decode_line(&line) {
-                            if in_hot.is_some() {
-                                let cost = line_cost(&line);
-                                CACHE_BYTES.add(cost as u64);
-                                for (k, e) in self.hot.insert(
-                                    key.0,
-                                    HotEntry { report, line: line.clone() },
-                                    cost,
-                                ) {
-                                    inner.stats.evictions += 1;
-                                    CACHE_EVICTIONS.incr();
-                                    if self.path.is_some() {
-                                        inner.spill.insert(k, e.line);
-                                    }
-                                }
-                            }
-                            if inner.spill.contains_key(&key.0) {
-                                inner.spill.insert(key.0, line.clone());
-                            }
-                            inner.dirty = true;
-                        }
-                    }
+                    continue;
                 }
-                continue;
-            }
-            // a decode failure is unreachable (the donor wrote that line
-            // itself); counted as a conflict rather than admitted blindly
-            let Ok(report) = decode_line(&line) else {
+                // Same key, different bytes. This is benign when two runs
+                // solved the same cell along different paths (a
+                // delta-seeded re-solve records different `work` than a
+                // from-⊥ solve). Resolve deterministically — keep the
+                // lexicographically smaller line, in whichever tier holds
+                // it — so merge is commutative: merge(a, b) and merge(b, a)
+                // persist byte-identical stores even under conflicts.
                 out.conflicts += 1;
-                continue;
-            };
-            let cost = line_cost(&line);
-            CACHE_MERGED.incr();
-            CACHE_BYTES.add(cost as u64);
-            for (k, e) in self.hot.insert(key.0, HotEntry { report, line: line.clone() }, cost) {
-                inner.stats.evictions += 1;
-                CACHE_EVICTIONS.incr();
-                if self.path.is_some() {
-                    inner.spill.insert(k, e.line);
+                if line >= *mine {
+                    continue;
                 }
             }
-            inner.stats.merged += 1;
-            out.merged += 1;
-            inner.dirty = true;
+            // a decode failure is unreachable (the donor rendered or
+            // validated that line itself); it is counted as a conflict
+            // rather than admitted blindly
+            if decode_line(&line).is_err() {
+                if existing.is_none() {
+                    out.conflicts += 1;
+                }
+                continue;
+            }
+            if existing.is_none() {
+                CACHE_MERGED.incr();
+                inner.stats.merged += 1;
+                out.merged += 1;
+            }
+            if in_spill {
+                inner.spill.insert(key.0, line);
+                inner.dirty = true;
+            } else {
+                self.admit(&mut inner, key.0, line);
+            }
         }
         out
     }
@@ -962,15 +950,6 @@ impl CertCache {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats
     }
 
-    /// Resets the hit/miss/invalidation counters (entries are kept).
-    pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let loaded = inner.stats.loaded;
-        let recovered = inner.stats.recovered_from_corruption;
-        inner.stats =
-            CacheStats { loaded, recovered_from_corruption: recovered, ..CacheStats::default() };
-    }
-
     /// Writes the store to disk (no-op for in-memory stores or when nothing
     /// changed since the last persist). Keys are written in sorted order so
     /// the file is byte-stable for identical contents.
@@ -987,10 +966,7 @@ impl CertCache {
         }
         // the disk tier is the union of both in-memory tiers: eviction
         // never loses a disk-backed certificate
-        let mut lines: Vec<(u64, std::sync::Arc<str>)> =
-            inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
-        lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
-        lines.sort_unstable_by_key(|(k, _)| *k);
+        let lines = self.sorted_lines(&inner);
         let mut out = String::with_capacity(64 * lines.len());
         out.push_str(STORE_FORMAT);
         out.push('\n');

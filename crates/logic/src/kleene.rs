@@ -68,11 +68,6 @@ impl Kleene {
         self == other || other == Kleene::Unknown
     }
 
-    /// Whether the value is definite (not `Unknown`).
-    pub fn is_definite(self) -> bool {
-        self != Kleene::Unknown
-    }
-
     /// `Some(b)` for a definite value, `None` for `Unknown`.
     pub fn definite(self) -> Option<bool> {
         match self {

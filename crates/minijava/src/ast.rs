@@ -163,11 +163,3 @@ pub enum Expr {
     /// Anything the analyses do not track: literals, arithmetic, `null`, …
     Opaque,
 }
-
-impl Expr {
-    /// Whether the expression is component-relevant (may produce or consume
-    /// tracked references): everything except [`Expr::Opaque`].
-    pub fn is_tracked(&self) -> bool {
-        !matches!(self, Expr::Opaque)
-    }
-}

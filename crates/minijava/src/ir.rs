@@ -188,20 +188,6 @@ pub enum Instr {
     Nop,
 }
 
-impl Instr {
-    /// The destination variable this instruction writes, if any.
-    pub fn def(&self) -> Option<VarId> {
-        match self {
-            Instr::Copy { dst, .. } | Instr::Load { dst, .. } | Instr::Nullify { dst } => {
-                Some(*dst)
-            }
-            Instr::New { dst, .. } => Some(*dst),
-            Instr::CallComponent { dst, .. } | Instr::CallClient { dst, .. } => *dst,
-            Instr::Store { .. } | Instr::Nop => None,
-        }
-    }
-}
-
 /// A CFG edge: `from --instr--> to`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Edge {

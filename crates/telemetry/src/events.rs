@@ -96,15 +96,6 @@ impl Level {
             Level::Debug => 3,
         }
     }
-
-    fn from_rank(r: u8) -> Level {
-        match r {
-            0 => Level::Error,
-            1 => Level::Warn,
-            2 => Level::Info,
-            _ => Level::Debug,
-        }
-    }
 }
 
 /// A structured field value (the log carries no floats by design — encode
@@ -231,11 +222,6 @@ pub fn set_min_level(level: Level) {
     MIN_LEVEL.store(level.rank(), Ordering::Release);
 }
 
-/// The current minimum logged level.
-pub fn min_level() -> Level {
-    Level::from_rank(MIN_LEVEL.load(Ordering::Relaxed))
-}
-
 /// Whether a record at `level` would currently be logged.
 #[inline]
 pub fn would_log(level: Level) -> bool {
@@ -326,15 +312,6 @@ pub fn error(target: &'static str, message: impl Into<String>) {
 /// Logs a warn-level record (echoed to stderr as `warning: ...`).
 pub fn warn(target: &'static str, message: impl Into<String>) {
     log(Level::Warn, target, message, Vec::new());
-}
-
-/// Logs a warn-level record with structured fields.
-pub fn warn_with(
-    target: &'static str,
-    message: impl Into<String>,
-    fields: Vec<(&'static str, FieldValue)>,
-) {
-    log(Level::Warn, target, message, fields);
 }
 
 /// Logs an info-level record (ring/file only; never echoed to stderr).

@@ -250,13 +250,6 @@ pub struct TvpProgram {
     pub edges: Vec<(usize, Action, usize)>,
 }
 
-impl TvpProgram {
-    /// Looks up a predicate id by name.
-    pub fn pred_named(&self, name: &str) -> Option<PredId> {
-        self.preds.iter().position(|p| p.name == name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@
 //! across sharded, work-stealing in-process workers, merging the
 //! per-shard certificate caches losslessly into `--cache-dir` at the end,
 //! and prints the aggregated fleet report (`--report` also writes it as
-//! `canvas-bench-fleet/1` JSON).
+//! a `canvas-bench/1` record of experiment `fleet-run`).
 //!
 //! Exit status: 0 = certified conformant, 1 = potential violations found,
 //! 2 = usage/spec/client/engine error, 3 = analysis inconclusive (resource

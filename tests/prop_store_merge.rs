@@ -110,6 +110,31 @@ fn conflicting_entries_resolve_order_independently() {
     let ab = merge_pair(&a, &b);
     let ba = merge_pair(&b, &a);
     assert_eq!(persisted_image(&ab), persisted_image(&ba));
+
+    // The same conflict with the receiver's entry in the spill tier: a
+    // disk-backed receiver whose one-byte budget admits nothing to the hot
+    // tier, so every line it holds is spilled when the donor arrives. The
+    // smaller line still wins, and both orders persist the same file.
+    let base = std::env::temp_dir().join(format!("canvas-prop-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let mut files = Vec::new();
+    for (name, first, second) in [("ab", &a, &b), ("ba", &b, &a)] {
+        let dir = base.join(name);
+        let disk = CertCache::open_budgeted(&dir, Some(1));
+        disk.merge_from(first);
+        assert_eq!(disk.memory_entries(), 0, "{name}: the receiver holds only spilled lines");
+        let stats = disk.merge_from(second);
+        assert!(stats.conflicts > 0, "{name}: the conflict must meet a spilled entry");
+        assert_eq!(
+            persisted_image(&disk),
+            persisted_image(&ab),
+            "{name}: the spill tier must keep the same winning lines as the hot tier"
+        );
+        disk.persist().expect("persist");
+        files.push(std::fs::read(dir.join("certs.v2")).expect("read back"));
+    }
+    assert_eq!(files[0], files[1], "spilled merge files must be byte-identical");
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// On-disk corroboration: the two merge orders persist files with
